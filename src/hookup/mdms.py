@@ -281,14 +281,20 @@ def find_thresholds(
     """
     cfg = cfg or OptimizerConfig()
     if method == "basis-switch":
+        # Both predicates read the same argmin, and bisection revisits its
+        # bracket ends, so each epsilon is searched once.
+        angles: dict[float, float] = {}
+
+        def switch_angle(eps: float) -> float:
+            if eps not in angles:
+                angles[eps] = _switch_angle(closest_classical(mdms(eps, 0.0, 0.0), cfg).basis)
+            return angles[eps]
 
         def switched(eps: float) -> bool:
-            cc = closest_classical(mdms(eps, 0.0, 0.0), cfg)
-            return _switch_angle(cc.basis) > SWITCH_DELTA
+            return switch_angle(eps) > SWITCH_DELTA
 
         def at_x_basis(eps: float) -> bool:
-            cc = closest_classical(mdms(eps, 0.0, 0.0), cfg)
-            return _switch_angle(cc.basis) > math.pi / 4 - SWITCH_DELTA
+            return switch_angle(eps) > math.pi / 4 - SWITCH_DELTA
 
         lo1, hi1 = _bracket_predicate(switched)
         eps_prime = _bisect_predicate(switched, lo1, hi1, tol)

@@ -26,9 +26,11 @@ from .errors import HookupError, NotAllQubits, TooManyQubits
 from .search import (
     OptimizerConfig,
     OptimizerResult,
+    angle_factors,
     joint_dephased_entropies,
     marginal_dephased_entropies,
     minimize_over_product_bases,
+    product_probs,
     qubit_basis_vectors,
 )
 from .states import (
@@ -104,10 +106,6 @@ def _require_optimizable(state: DensityMatrix) -> None:
         )
 
 
-def _angles_to_pairs(vector: np.ndarray) -> list[tuple[float, float]]:
-    return [(float(vector[2 * q]), float(vector[2 * q + 1])) for q in range(len(vector) // 2)]
-
-
 @dataclass(frozen=True)
 class ClosestClassical:
     """Argmin of the dephased-state entropy over product bases."""
@@ -131,8 +129,7 @@ def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) 
         return joint_dephased_entropies(state.matrix, state.dims, vecs)
 
     def objective(vector):
-        basis = basis_from_angles(_angles_to_pairs(vector))
-        return entropy_of_probs(dephased_probs(state, basis))
+        return entropy_of_probs(product_probs(state.matrix, angle_factors(vector)))
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
     basis = basis_from_angles(result.angles, dims=state.dims)
@@ -191,13 +188,10 @@ def _global_discord_opt(
         return joint
 
     def objective(vector):
-        pairs = _angles_to_pairs(vector)
-        basis = basis_from_angles(pairs)
-        value = entropy_of_probs(dephased_probs(state, basis))
+        u = angle_factors(vector)
+        value = entropy_of_probs(product_probs(state.matrix, u))
         for q, m in enumerate(marginals):
-            part = ProductBasis((basis.factors[q],))
-            p = dephased_probs(DensityMatrix((2,), m), part)
-            value -= entropy_of_probs(p)
+            value -= entropy_of_probs(product_probs(m, u[q : q + 1]))
         return value
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)

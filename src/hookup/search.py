@@ -4,6 +4,9 @@ A coarse angle grid seeds several Nelder-Mead refinements; the best refined
 point wins, with deterministic tie-breaking toward the basis with the smallest
 canonical angle norm (the computational basis wins exact ties).  Everything is
 deterministic for a fixed configuration, so repeated runs are bit-identical.
+The grid contraction (``joint_dephased_entropies``) and the refinement kernel
+(``angle_factors`` then ``product_probs``) share one basis parameterization;
+the kernel builds no basis or state object per objective call.
 
 Angle vectors are ordered ``(theta_1, phi_1, theta_2, phi_2, ...)``; grid cell
 indices are theta-major per qubit (``option = i_theta * n_phi + i_phi``).
@@ -20,13 +23,15 @@ from scipy.optimize import minimize
 from scipy.special import xlogy
 
 from .channels import QubitBasisAngles, canonical_angles
-from .linalg import qubit_unitary
+from .errors import NotUnitary
+from .linalg import UNITARITY_TOL, max_abs, qubit_unitary
 
 _LN2 = math.log(2.0)
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
 GRID_CELL_BUDGET = 6_000_000
 _CHUNK_BYTES = 2.0e8
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -98,22 +103,25 @@ def angle_axes(points: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
+def _basis_matrices(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """``qubit_unitary(theta, phi)`` for broadcast angle arrays, shape (..., 2, 2)."""
+    c, s, e = np.cos(thetas), np.sin(thetas), np.exp(1j * phis)
+    lower = -np.conj(e) * s
+    v = np.empty(lower.shape + (2, 2), dtype=complex)
+    v[..., 0, 0] = c
+    v[..., 1, 0] = lower
+    v[..., 0, 1] = e * s
+    v[..., 1, 1] = c
+    return v
+
+
 def qubit_basis_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Stack of basis-vector matrices, shape (n_theta * n_phi, 2, 2).
 
     ``V[o, :, k]`` is the k-th basis vector of the (theta, phi) combination
     with theta-major option index ``o``.
     """
-    t = np.asarray(thetas)[:, None]
-    p = np.asarray(phis)[None, :]
-    c = np.broadcast_to(np.cos(t), (t.shape[0], p.shape[1]))
-    s = np.broadcast_to(np.sin(t), (t.shape[0], p.shape[1]))
-    e = np.broadcast_to(np.exp(1j * p), (t.shape[0], p.shape[1]))
-    v = np.empty((t.shape[0], p.shape[1], 2, 2), dtype=complex)
-    v[..., 0, 0] = c
-    v[..., 1, 0] = -np.conj(e) * s
-    v[..., 0, 1] = e * s
-    v[..., 1, 1] = c
+    v = _basis_matrices(np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
     return v.reshape(-1, 2, 2)
 
 
@@ -172,6 +180,36 @@ def marginal_dephased_entropies(marginal: np.ndarray, vectors: np.ndarray) -> np
     return _entropy_rows(p)
 
 
+def angle_factors(vector: np.ndarray) -> np.ndarray:
+    """Per-qubit basis unitaries of one angle vector, shape (n_qubits, 2, 2).
+
+    The refinement kernel's first half.  ``vector`` is ``(theta_1, phi_1,
+    theta_2, phi_2, ...)``; angles outside the fundamental ranges are used as
+    they are, since they give the projectors of their folded equivalent up to
+    order, which leaves dephased entropies unchanged.  Raises NotUnitary when
+    a factor misses unitarity by more than ``UNITARITY_TOL`` or is not finite.
+    """
+    v = np.asarray(vector, dtype=float)
+    u = _basis_matrices(v[0::2], v[1::2])
+    if not max_abs(np.einsum("qij,qkj->qik", u, u.conj()) - _EYE2) <= UNITARITY_TOL:
+        raise NotUnitary("angle vector gives a basis factor that is not unitary within 1e-9")
+    return u
+
+
+def product_probs(matrix: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Diagonal weights of ``matrix`` in the product basis of ``factors``.
+
+    The refinement kernel's second half.  The product basis B (subsystem 0
+    most significant, as ``np.kron``) is built by broadcast outer products;
+    the weights are Re sum_i conj(B) * (matrix B).
+    """
+    b = factors[0]
+    for f in factors[1:]:
+        d = b.shape[0] * f.shape[0]
+        b = (b[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
+    return np.real((b.conj() * (matrix @ b)).sum(axis=0))
+
+
 def _cell_angles(flat_index: int, counts: Sequence[int], thetas, phis) -> np.ndarray:
     """Angle vector of a flat grid cell index."""
     n_phi = len(phis)
@@ -208,39 +246,22 @@ def minimize_over_product_bases(
     objective: Callable[[np.ndarray], float],
     n_qubits: int,
     cfg: OptimizerConfig | None = None,
-    batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    *,
+    batch: Callable[[np.ndarray, np.ndarray], np.ndarray],
 ) -> OptimizerResult:
     """Minimize a continuous function of 2*n_qubits basis angles.
 
-    The coarse stage evaluates the full grid (through ``batch`` when given,
-    otherwise by looping ``objective``), the best ``multistarts`` distinct
-    cells seed Nelder-Mead refinements, and the best refined value wins.
+    ``batch(thetas, phis)`` evaluates the objective on the full coarse grid,
+    one value per cell with theta-major per-qubit cells and qubit 0 most
+    significant (the layout of ``joint_dephased_entropies``).  The best
+    ``multistarts`` distinct cells seed Nelder-Mead refinements of
+    ``objective``, and the best refined value wins.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
     thetas, phis = angle_axes(pts)
     counts = [len(thetas) * len(phis)] * n_qubits
-
-    if batch is not None:
-        values = np.asarray(batch(thetas, phis), dtype=float).ravel()
-    else:
-        grids = np.meshgrid(
-            *([thetas] * n_qubits + [phis] * n_qubits), indexing="ij", copy=False
-        )
-        # meshgrid order (t1..tn, p1..pn); evaluate cell by cell.
-        shape = grids[0].shape
-        values = np.empty(int(np.prod(shape)), dtype=float)
-        it = np.ndindex(*shape)
-        for flat, idx in enumerate(it):
-            vec = np.empty(2 * n_qubits)
-            for q in range(n_qubits):
-                vec[2 * q] = grids[q][idx]
-                vec[2 * q + 1] = grids[n_qubits + q][idx]
-            values[flat] = objective(vec)
-        # Reorder from (t1..tn, p1..pn) to theta-major per-qubit cells.
-        values = values.reshape(shape)
-        perm = [axis for q in range(n_qubits) for axis in (q, n_qubits + q)]
-        values = np.transpose(values, perm).ravel()
+    values = np.asarray(batch(thetas, phis), dtype=float).ravel()
 
     ncells = values.size
     n_starts = min(cfg.multistarts, ncells)

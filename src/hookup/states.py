@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 
-HERMITICITY_TOL = 1e-9
+HERMITICITY_TOL = linalg.HERMITICITY_TOL
 TRACE_TOL = 1e-9
 MIN_EIG_TOL = 1e-9
 # Support detection for relative entropy: one order above the eigensolver noise.
@@ -89,8 +89,13 @@ class ValidationReport:
 
 
 def validate(state: DensityMatrix) -> ValidationReport:
-    """Check Hermiticity, unit trace and positivity; reports, never raises."""
+    """Check finiteness, Hermiticity, unit trace and positivity; reports, never raises."""
     m = state.matrix
+    bad = np.argwhere(~np.isfinite(m))
+    if bad.size:  # every comparison below would pass a NaN silently
+        i, j = bad[0]
+        msg = f"matrix has {len(bad)} non-finite entries (NaN or infinity), the first at ({i},{j})"
+        return ValidationReport(False, math.nan, math.nan, math.nan, (msg,))
     herm = linalg.hermiticity_defect(m)
     trace = abs(complex(np.trace(m)) - 1.0)
     messages = []

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from hookup import DensityMatrix, save
 from hookup.cli import main
@@ -81,6 +82,20 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--file", str(path))
         assert code == 2
         assert "trace" in err
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_entry_exit_2(self, tmp_path, capsys, literal):
+        # Python's json module parses these literals to floats; the state
+        # must be rejected at load, not fail later inside an eigensolver.
+        rows = [[{"re": 0.25 if i == j else 0.0, "im": 0.0} for j in range(4)] for i in range(4)]
+        text = json.dumps({"dims": [2, 2], "matrix": rows}).replace("0.25", literal, 1)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "compute", "--file", str(path))
+        assert code == 2
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_unknown_preset_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--preset", "nope")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -303,9 +304,27 @@ class TestScaling:
             closest_classical(state)
 
 
+def looped_batch(objective, n_qubits):
+    """Coarse-grid evaluator that calls a scalar objective once per cell.
+
+    Cells follow the layout ``minimize_over_product_bases`` documents:
+    theta-major (theta, phi) options per qubit, qubit 0 most significant.
+    """
+
+    def batch(thetas, phis):
+        options = [(t, p) for t in thetas for p in phis]
+        cells = itertools.product(options, repeat=n_qubits)
+        return np.array([objective(np.array(cell).ravel()) for cell in cells])
+
+    return batch
+
+
 class TestMinimizeOverProductBases:
     def test_constant_objective(self):
-        result = minimize_over_product_bases(lambda v: 1.25, 2, FAST)
+        def objective(vector):
+            return 1.25
+
+        result = minimize_over_product_bases(objective, 2, FAST, batch=looped_batch(objective, 2))
         assert abs(result.value - 1.25) <= 1e-12
 
     def test_bell_dephased_entropy(self):
@@ -315,7 +334,7 @@ class TestMinimizeOverProductBases:
             pairs = [(vector[0], vector[1]), (vector[2], vector[3])]
             return von_neumann_entropy(dephase(bell, basis_from_angles(pairs)))
 
-        result = minimize_over_product_bases(objective, 2, FAST)
+        result = minimize_over_product_bases(objective, 2, FAST, batch=looped_batch(objective, 2))
         assert abs(result.value - 1.0) <= 1e-9
 
     def test_mdms_high_epsilon_argmin_is_x_basis(self):
@@ -325,9 +344,15 @@ class TestMinimizeOverProductBases:
             pairs = [(vector[0], vector[1]), (vector[2], vector[3])]
             return von_neumann_entropy(dephase(state, basis_from_angles(pairs)))
 
-        result = minimize_over_product_bases(objective, 2, OptimizerConfig(grid_points=9))
+        result = minimize_over_product_bases(
+            objective, 2, OptimizerConfig(grid_points=9), batch=looped_batch(objective, 2)
+        )
         for a in result.angles:
             assert abs(a.theta - math.pi / 4) <= 0.02
+
+    def test_batch_is_required(self):
+        with pytest.raises(TypeError):
+            minimize_over_product_bases(lambda v: 0.0, 2, FAST)
 
     def test_deterministic(self):
         state = preset("mdms", epsilon=0.72, theta=0.1)
@@ -353,10 +378,10 @@ class TestMinimizeOverProductBases:
             )
             assert abs(grid[o1, o2] - direct) <= 1e-12
 
-    def test_fallback_grid_mapping_finds_isolated_cell(self):
+    def test_grid_mapping_finds_isolated_cell(self):
         # An objective that is 0 only in a tiny ball around one exact grid
         # cell and 1 elsewhere: the coarse stage can only see it if the
-        # scalar-fallback cell-to-angle mapping is consistent.
+        # cell-to-angle mapping agrees with the documented batch layout.
         from hookup.search import angle_axes
 
         thetas, phis = angle_axes(5)
@@ -366,10 +391,55 @@ class TestMinimizeOverProductBases:
             return 0.0 if np.max(np.abs(vec - target)) < 1e-9 else 1.0
 
         result = minimize_over_product_bases(
-            objective, 2, OptimizerConfig(grid_points=5, multistarts=2)
+            objective,
+            2,
+            OptimizerConfig(grid_points=5, multistarts=2),
+            batch=looped_batch(objective, 2),
         )
         assert result.value == 0.0
         assert np.max(np.abs(result.angle_vector() - target)) < 1e-9
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_kernel_matches_reference_path(self, n_qubits):
+        # The refinement kernel builds no basis object and does not fold its
+        # angles; it must still give the dephased entropy of the folded basis,
+        # and the global-discord objective must give C_M in that basis.
+        from hookup.search import angle_factors, product_probs
+        from hookup.states import entropy_of_probs
+
+        rng = np.random.default_rng(20 + n_qubits)
+        dims = (2,) * n_qubits
+        for trial in range(6):
+            state = random_state(rng, dims, rank=1 + trial % 4)
+            # theta in (-pi, pi) and phi in (-2 pi, 2 pi): well outside
+            # theta in [0, pi/2], phi in [0, 2 pi) on most draws.
+            thetas = rng.uniform(-math.pi, math.pi, n_qubits)
+            phis = rng.uniform(-2 * math.pi, 2 * math.pi, n_qubits)
+            vector = np.column_stack([thetas, phis]).ravel()
+            if trial == 0:
+                vector[0], vector[1] = 2.0, -0.7  # theta > pi/2, negative phi
+            pairs = list(zip(vector[0::2], vector[1::2]))
+            basis = basis_from_angles(pairs)
+            u = angle_factors(vector)
+
+            kernel = entropy_of_probs(product_probs(state.matrix, u))
+            reference = von_neumann_entropy(dephase(state, basis))
+            assert abs(kernel - reference) <= 1e-12
+
+            g_kernel = kernel - sum(
+                entropy_of_probs(product_probs(state.marginal(q).matrix, u[q : q + 1]))
+                for q in range(n_qubits)
+            )
+            g_kernel += sum(von_neumann_entropy(state.marginal(q)) for q in range(n_qubits))
+            g_kernel -= von_neumann_entropy(state)
+            assert abs(g_kernel - multipartite_coherence(state, basis)) <= 1e-12
+
+    def test_kernel_rejects_non_finite_angles(self):
+        from hookup import NotUnitary
+        from hookup.search import angle_factors
+
+        with pytest.raises(NotUnitary):
+            angle_factors(np.array([0.3, 1.0, math.nan, 0.0]))
 
     def test_refined_never_above_grid_oracle(self):
         rng = np.random.default_rng(13)

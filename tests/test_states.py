@@ -39,6 +39,17 @@ def test_validate_reports_trace_violation():
     assert any("trace" in msg for msg in report.messages)
 
 
+def test_validate_reports_non_finite():
+    for bad in (math.nan, math.inf, -math.inf):
+        m = np.eye(4, dtype=complex) / 4
+        m[1, 2] = bad
+        report = validate(DensityMatrix((2, 2), m))
+        assert not report.ok
+        assert report.messages == (
+            "matrix has 1 non-finite entries (NaN or infinity), the first at (1,2)",
+        )
+
+
 def test_validate_rank_one_projector():
     assert validate(DensityMatrix((2,), np.diag([1.0, 0.0]))).ok
 
