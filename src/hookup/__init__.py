@@ -27,7 +27,6 @@ from .errors import (
 )
 from .linalg import (
     EigenDecomposition,
-    conjugate,
     hermitian_eig,
     kron,
     kron_all,
@@ -35,7 +34,6 @@ from .linalg import (
     qubit_unitary,
 )
 from .mdms import (
-    MdmsParams,
     ScanTable,
     ThresholdResult,
     compare_jk,

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, NotAllQubits, NotUnitary
+from .errors import BadParams, DimensionMismatch, NotAllQubits, NotUnitary
 from .states import DensityMatrix
 
 TWO_PI = 2 * math.pi
@@ -25,8 +25,11 @@ def fold_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
 
     The dephasing projector set is invariant under theta -> theta + pi and
     under (theta, phi) -> (-theta, phi + pi), so any real pair has an
-    equivalent inside the fundamental ranges.
+    equivalent inside the fundamental ranges.  Raises BadParams on a
+    non-finite angle.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise BadParams(f"basis angles must be finite, got theta={theta}, phi={phi}")
     theta = math.fmod(theta, math.pi)
     if theta < 0:
         theta += math.pi
@@ -63,8 +66,8 @@ class ProductBasis:
         factors = []
         for i, f in enumerate(self.factors):
             u = linalg.as_square(f)
-            if linalg.max_abs(u @ u.conj().T - np.eye(u.shape[0])) > linalg.UNITARITY_TOL:
-                raise NotUnitary(f"basis factor {i} is not unitary within 1e-9")
+            if not linalg.max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= linalg.UNITARITY_TOL:
+                raise NotUnitary(f"basis factor {i} is not unitary within 1e-9 or not finite")
             u.setflags(write=False)
             factors.append(u)
         object.__setattr__(self, "factors", tuple(factors))

@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_optimizer_flags(p):
         p.add_argument("--starts", type=int, default=8, help="multistart count")
         p.add_argument("--grid", type=int, default=17, help="coarse grid points per angle")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--tol", type=float, default=1e-9, help="objective tolerance")
 
     p = sub.add_parser("compute", help="full quantifier report for one state")
@@ -85,9 +84,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_points=args.grid, multistarts=args.starts, tol=args.tol, seed=args.seed
-    )
+    return OptimizerConfig(grid_points=args.grid, multistarts=args.starts, tol=args.tol)
+
+
+def _parse_floats(flag: str, text: str) -> list[float]:
+    """Comma list of numbers; a malformed entry is invalid input."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise HookupError(f"{flag}: {exc}") from None
 
 
 def _load_state(args):
@@ -113,7 +118,7 @@ def _emit(text: str, out_path: str | None) -> None:
 def _cmd_compute(args) -> int:
     state = _load_state(args)
     if args.basis_angles:
-        values = [float(x) for x in args.basis_angles.split(",") if x.strip()]
+        values = _parse_floats("--basis-angles", args.basis_angles)
         if len(values) != 2 * state.n_parts:
             raise HookupError(
                 f"--basis-angles needs {2 * state.n_parts} numbers for dims {state.dims}"
@@ -179,7 +184,7 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_compare_jk(args) -> int:
-    epsilons = [float(x) for x in args.epsilons.split(",") if x.strip()]
+    epsilons = _parse_floats("--epsilons", args.epsilons)
     rows = compare_jk(epsilons, theta_points=args.theta_points, cfg=_config(args))
     if args.format == "json":
         _emit(json.dumps(rows, indent=1), args.out)

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonHermitian, NotUnitary
+from .errors import DimensionMismatch, NoConvergence, NonHermitian
 
 HERMITICITY_TOL = 1e-9
 UNITARITY_TOL = 1e-9
@@ -100,17 +100,6 @@ def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
     col = [letters[q] if q != keep else letters[n] for q in range(n)]
     subscripts = "".join(row) + "".join(col) + "->" + letters[keep] + letters[n]
     return np.einsum(subscripts, t)
-
-
-def conjugate(m, u) -> np.ndarray:
-    """Return ``u @ m @ u^dagger`` after checking that ``u`` is unitary."""
-    a = as_square(m)
-    uu = as_square(u)
-    if uu.shape != a.shape:
-        raise DimensionMismatch(f"unitary shape {uu.shape} != matrix shape {a.shape}")
-    if max_abs(uu @ uu.conj().T - np.eye(uu.shape[0])) > UNITARITY_TOL:
-        raise NotUnitary("matrix is not unitary within 1e-9")
-    return uu @ a @ uu.conj().T
 
 
 def qubit_unitary(theta: float, phi: float) -> np.ndarray:

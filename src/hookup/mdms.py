@@ -18,9 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ProductBasis, dephase, dephased_probs
+from .channels import ProductBasis, dephased_probs
 from .errors import BadParams, NoRootBracketed
-from .linalg import qubit_unitary
 from .quantifiers import (
     closest_classical,
     coherence,
@@ -30,28 +29,10 @@ from .quantifiers import (
     total_correlations,
 )
 from .search import OptimizerConfig
-from .states import DensityMatrix, entropy_of_probs, mdms, von_neumann_entropy
+from .states import entropy_of_probs, mdms
 
 SCAN_COLUMNS = ("T", "C", "C_L", "C_M", "K", "M", "D", "J", "L")
 CSV_HEADER = ("theta", "epsilon") + SCAN_COLUMNS
-
-
-@dataclass(frozen=True)
-class MdmsParams:
-    """Coordinates of one family member."""
-
-    epsilon: float
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise BadParams(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if not 0.0 <= self.theta <= math.pi / 4 + 1e-12:
-            raise BadParams(f"theta must lie in [0, pi/4], got {self.theta}")
-
-    def state(self) -> DensityMatrix:
-        return mdms(self.epsilon, self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -86,10 +67,11 @@ def scan_mdms(
     """Evaluate every quantifier over the (theta, epsilon) grid.
 
     Quantifiers are evaluated in the computational basis, so the coherence
-    family and K vary along theta while the unitarily invariant T, D, J, L
-    stay constant along each epsilon row.  The basis optimization runs once
-    per epsilon (at theta = 0); its argmin basis co-rotates exactly with the
-    family member, which is how the per-cell D, J, L values are evaluated.
+    family and K vary along theta.  The member at theta is the theta = 0
+    member under a local unitary, which leaves T, D, J and L invariant; so
+    each epsilon row runs one basis search at theta = 0 and shares its T, D,
+    J and L across the row.  The tests check that invariance against
+    independent searches on rotated members.
     """
     if theta_points < 2 or epsilon_points < 2:
         raise BadParams("grid sizes must be at least 2")
@@ -101,30 +83,21 @@ def scan_mdms(
     cols = {name: np.empty((theta_points, epsilon_points)) for name in SCAN_COLUMNS}
 
     for je, eps in enumerate(epsilons):
-        base_cc = closest_classical(mdms(float(eps), 0.0, 0.0), cfg)
+        base = mdms(float(eps), 0.0, 0.0)
+        cc = closest_classical(base, cfg)
+        cols["T"][:, je] = total_correlations(base)
+        cols["D"][:, je] = cc.discord
+        cols["J"][:, je] = cc.classical_correlations
+        cols["L"][:, je] = cc.excess
         for jt, theta in enumerate(thetas):
             state = mdms(float(eps), float(theta), 0.0)
-            s_state = von_neumann_entropy(state)
-            t = total_correlations(state)
             c = coherence(state)
             c_l = local_coherence(state)
-            k = irreducible_classical(state)
-            m = hookup(state)
-            # Argmin basis of the rotated member: co-rotate the theta=0 argmin.
-            u = qubit_unitary(float(theta), 0.0)
-            rotated = ProductBasis(tuple(u @ f for f in base_cc.basis.factors))
-            chi = dephase(state, rotated)
-            d = von_neumann_entropy(chi) - s_state
-            j = total_correlations(chi)
-            cols["T"][jt, je] = t
             cols["C"][jt, je] = c
             cols["C_L"][jt, je] = c_l
             cols["C_M"][jt, je] = c - c_l
-            cols["K"][jt, je] = k
-            cols["M"][jt, je] = m
-            cols["D"][jt, je] = d
-            cols["J"][jt, je] = j
-            cols["L"][jt, je] = d + j - t
+            cols["K"][jt, je] = irreducible_classical(state)
+            cols["M"][jt, je] = hookup(state)
         if progress is not None:
             progress(je + 1, epsilon_points)
 
@@ -132,7 +105,7 @@ def scan_mdms(
         f"hookup scan-mdms version={_package_version()}",
         f"theta_points={theta_points} epsilon_points={epsilon_points} theta_max={theta_max!r}",
         f"optimizer grid={cfg.grid_points} starts={cfg.multistarts} tol={cfg.tol!r} "
-        f"max_iter={cfg.max_iter} seed={cfg.seed}",
+        f"max_iter={cfg.max_iter}",
         "columns: " + ",".join(CSV_HEADER),
     )
     return ScanTable(thetas=thetas, epsilons=epsilons, columns=cols, provenance=provenance)
@@ -380,7 +353,7 @@ def compare_jk(
         eps = float(eps)
         if not 0.0 < eps < 1.0:
             raise BadParams(f"epsilon values must lie in (0, 1), got {eps}")
-        j = total_correlations(closest_classical(mdms(eps, 0.0, 0.0), cfg).chi)
+        j = closest_classical(mdms(eps, 0.0, 0.0), cfg).classical_correlations
         gaps = np.array(
             [irreducible_classical(mdms(eps, float(t), 0.0)) - j for t in thetas]
         )

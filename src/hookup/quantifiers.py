@@ -108,18 +108,30 @@ def _require_optimizable(state: DensityMatrix) -> None:
 
 @dataclass(frozen=True)
 class ClosestClassical:
-    """Argmin of the dephased-state entropy over product bases."""
+    """Argmin of the dephased-state entropy over product bases.
+
+    Carries the quantities derived from the closest classical state chi:
+    ``discord`` D = S(chi) - S(state), ``classical_correlations`` J = T(chi),
+    ``excess`` L = D + J - T(state), and ``excess_residual``, the gap between
+    L and its relative-entropy form S(pi_state || pi_chi) on the marginal
+    products.
+    """
 
     chi: DensityMatrix
     basis: ProductBasis
     optimizer: OptimizerResult
+    discord: float
+    classical_correlations: float
+    excess: float
+    excess_residual: float
 
 
 def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> ClosestClassical:
     """Classically correlated state closest to ``state``.
 
     Returns the dephasing of the state in the entropy-minimizing product
-    basis, found by grid seeding plus simplex refinement.
+    basis, found by grid seeding plus simplex refinement, together with the
+    discord, classical correlations and excess term it determines.
     """
     _require_optimizable(state)
     cfg = cfg or OptimizerConfig()
@@ -133,34 +145,40 @@ def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) 
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
     basis = basis_from_angles(result.angles, dims=state.dims)
-    return ClosestClassical(chi=dephase(state, basis), basis=basis, optimizer=result)
+    chi = dephase(state, basis)
+    d = von_neumann_entropy(chi) - von_neumann_entropy(state)
+    j = total_correlations(chi)
+    excess = d + j - total_correlations(state)
+    cross = relative_entropy(marginal_product(state), marginal_product(chi))
+    return ClosestClassical(
+        chi=chi,
+        basis=basis,
+        optimizer=result,
+        discord=d,
+        classical_correlations=j,
+        excess=excess,
+        excess_residual=abs(excess - cross),
+    )
 
 
 def discord(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Two-sided relative-entropy discord."""
-    cc = closest_classical(state, cfg)
-    return von_neumann_entropy(cc.chi) - von_neumann_entropy(state)
+    return closest_classical(state, cfg).discord
 
 
 def classical_correlations(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Mutual information of the closest classically correlated state."""
-    return total_correlations(closest_classical(state, cfg).chi)
+    return closest_classical(state, cfg).classical_correlations
 
 
 def excess_correlations(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """The excess D + J - T, cross-checked against its relative-entropy form."""
     cc = closest_classical(state, cfg)
-    s_state = von_neumann_entropy(state)
-    d = von_neumann_entropy(cc.chi) - s_state
-    j = total_correlations(cc.chi)
-    t = total_correlations(state)
-    primary = d + j - t
-    cross = relative_entropy(marginal_product(state), marginal_product(cc.chi))
-    if abs(primary - cross) > EXCESS_CROSS_TOL:
+    if cc.excess_residual > EXCESS_CROSS_TOL:
         raise HookupError(
-            f"excess-term evaluations disagree: {primary!r} vs {cross!r}"
+            f"excess-term evaluations disagree by {cc.excess_residual!r}"
         )
-    return primary
+    return cc.excess
 
 
 def global_discord(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
@@ -319,7 +337,6 @@ def full_report(
     cfg = cfg or OptimizerConfig()
     ref = basis if basis is not None else computational_basis(state.dims)
 
-    s_state = von_neumann_entropy(state)
     t = total_correlations(state)
     c = coherence(state, ref)
     c_l = local_coherence(state, ref)
@@ -346,11 +363,10 @@ def full_report(
     if available:
         cc = closest_classical(state, cfg)
         chi_basis = cc.basis
-        d_val = von_neumann_entropy(cc.chi) - s_state
-        j_val = total_correlations(cc.chi)
-        l_val = d_val + j_val - t
-        cross = relative_entropy(marginal_product(state), marginal_product(cc.chi))
-        residuals["excess_cross_form"] = abs(l_val - cross)
+        d_val = cc.discord
+        j_val = cc.classical_correlations
+        l_val = cc.excess
+        residuals["excess_cross_form"] = cc.excess_residual
         g_val, g_result = _global_discord_opt(state, cfg)
         g_basis = basis_from_angles(g_result.angles, dims=state.dims)
         meta = {"chi": cc.optimizer.meta(), "global": g_result.meta()}

@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 from scipy.special import xlogy
 
 from .channels import QubitBasisAngles, canonical_angles
-from .errors import NotUnitary
+from .errors import BadParams, NotUnitary
 from .linalg import UNITARITY_TOL, max_abs, qubit_unitary
 
 _LN2 = math.log(2.0)
@@ -40,22 +40,24 @@ class OptimizerConfig:
 
     ``grid_points`` is the coarse grid resolution per angle, ``multistarts``
     the number of refined starts, ``tol`` the simplex shrink tolerance on the
-    objective, ``max_iter`` the per-start iteration cap.  The search itself is
-    fully deterministic; ``seed`` is carried into result metadata and file
-    provenance so outputs are keyed by the whole configuration.
+    objective, ``max_iter`` the per-start iteration cap.  The search is fully
+    deterministic, so these four values fix the result.  Raises BadParams on
+    out-of-range values.
     """
 
     grid_points: int = 17
     multistarts: int = 8
     tol: float = 1e-9
     max_iter: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_points < 2 or self.multistarts < 1 or self.max_iter < 1:
-            raise ValueError("grid_points, multistarts and max_iter must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+            raise BadParams(
+                f"grid points must be at least 2 and starts and max_iter at least 1, got "
+                f"grid={self.grid_points} starts={self.multistarts} max_iter={self.max_iter}"
+            )
+        if not self.tol > 0:
+            raise BadParams(f"tol must be positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,6 @@ class OptimizerResult:
     starts: int
     nfev: int
     grid_points: int
-    seed: int
 
     def angle_vector(self) -> np.ndarray:
         return np.array([x for a in self.angles for x in (a.theta, a.phi)])
@@ -80,7 +81,6 @@ class OptimizerResult:
             "converged": self.converged,
             "function_evals": self.nfev,
             "grid_points": self.grid_points,
-            "seed": self.seed,
         }
 
 
@@ -315,5 +315,4 @@ def minimize_over_product_bases(
         starts=n_starts,
         nfev=nfev,
         grid_points=pts,
-        seed=cfg.seed,
     )

@@ -64,6 +64,9 @@ class TestBasisFromAngles:
     def test_non_unitary_factor_rejected(self):
         with pytest.raises(NotUnitary):
             ProductBasis((np.array([[1, 1], [0, 1]], dtype=complex),))
+        # A NaN deviation compares False against any tolerance.
+        with pytest.raises(NotUnitary):
+            ProductBasis((np.array([[np.nan, 0], [0, 1]], dtype=complex),))
 
 
 class TestCanonicalAngles:

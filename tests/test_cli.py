@@ -97,6 +97,24 @@ class TestCompute:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--preset", "bell", "--basis-angles", "a,b,c,d"],
+            ["compute", "--preset", "bell", "--basis-angles", "nan,0,0,0"],
+            ["compute", "--preset", "bell", "--basis-angles", "inf,0,0,0"],
+            ["compare-jk", "--epsilons", "0.5,x"],
+            ["scan-mdms", "--grid", "1"],
+            ["thresholds", "--tol", "-1"],
+        ],
+    )
+    def test_malformed_numbers_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_unknown_preset_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--preset", "nope")
         assert code == 2
@@ -193,8 +211,6 @@ class TestScan:
                 "9",
                 "--starts",
                 "4",
-                "--seed",
-                "7",
                 "--out",
                 str(p),
             )

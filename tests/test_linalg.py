@@ -7,8 +7,6 @@ from conftest import random_density, random_unitary
 from hookup import (
     DimensionMismatch,
     NonHermitian,
-    NotUnitary,
-    conjugate,
     hermitian_eig,
     kron,
     kron_all,
@@ -123,21 +121,6 @@ class TestPartialTrace:
 
 
 class TestConjugate:
-    def test_identity_unchanged(self):
-        m = np.array([[0.25, 0.1j], [-0.1j, 0.75]])
-        assert np.allclose(conjugate(m, np.eye(2)), m)
-
-    def test_plane_rotation_half_angle(self):
-        # R(pi/4) diag(1,0) R(pi/4)^T = [[1/2,1/2],[1/2,1/2]], 2x2 algebra by hand.
-        c = np.cos(np.pi / 4)
-        r = np.array([[c, -c], [c, c]], dtype=complex)
-        out = conjugate(np.diag([1.0, 0.0]), r)
-        assert np.allclose(out, np.full((2, 2), 0.5), atol=1e-15)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitary):
-            conjugate(np.eye(2), np.array([[1, 1], [0, 1]], dtype=complex))
-
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_eigenvalues_preserved(self, seed):
@@ -146,7 +129,7 @@ class TestConjugate:
         m = random_density(rng, dim)
         u = random_unitary(rng, dim)
         before = hermitian_eig(m).eigenvalues
-        after = hermitian_eig(conjugate(m, u)).eigenvalues
+        after = hermitian_eig(u @ m @ u.conj().T).eigenvalues
         assert np.max(np.abs(before - after)) <= 1e-9
 
 

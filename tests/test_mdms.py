@@ -2,9 +2,14 @@
 import numpy as np
 import pytest
 
-from hookup import BadParams, NoRootBracketed, OptimizerConfig
+from hookup import (
+    BadParams,
+    NoRootBracketed,
+    OptimizerConfig,
+    closest_classical,
+    total_correlations,
+)
 from hookup.mdms import (
-    MdmsParams,
     ScanTable,
     compare_jk,
     find_thresholds,
@@ -12,6 +17,7 @@ from hookup.mdms import (
     scan_mdms,
     scan_to_csv,
 )
+from hookup.states import mdms
 
 FAST = OptimizerConfig(grid_points=9, multistarts=4)
 
@@ -21,6 +27,17 @@ def small_scan():
     return scan_mdms(theta_points=9, epsilon_points=11, cfg=FAST)
 
 
+@pytest.fixture(scope="module")
+def rotated_members(small_scan):
+    """One theta > 0 member per epsilon row, each with its own basis search."""
+    out = []
+    for je, eps in enumerate(small_scan.epsilons):
+        jt = 1 + je % (len(small_scan.thetas) - 1)
+        state = mdms(float(eps), float(small_scan.thetas[jt]), 0.0)
+        out.append((jt, je, state, closest_classical(state, FAST)))
+    return out
+
+
 class TestScan:
     def test_grid_shapes(self, small_scan):
         assert small_scan.thetas.shape == (9,)
@@ -28,14 +45,18 @@ class TestScan:
         for values in small_scan.columns.values():
             assert values.shape == (9, 11)
 
-    def test_j_constant_across_theta(self, small_scan):
-        j = small_scan.columns["J"]
-        assert (j.max(axis=0) - j.min(axis=0)).max() <= 1e-6
+    # The scan shares one theta = 0 search per epsilon row; these two tests
+    # check that invariance against independent searches on rotated members.
+    def test_j_constant_across_theta(self, small_scan, rotated_members):
+        for jt, je, _, cc in rotated_members:
+            assert abs(cc.classical_correlations - small_scan.columns["J"][jt, je]) <= 1e-6
 
-    def test_t_and_d_constant_across_theta(self, small_scan):
-        for name in ("T", "D", "L"):
-            col = small_scan.columns[name]
-            assert (col.max(axis=0) - col.min(axis=0)).max() <= 1e-6
+    def test_t_and_d_constant_across_theta(self, small_scan, rotated_members):
+        cols = small_scan.columns
+        for jt, je, state, cc in rotated_members:
+            assert abs(total_correlations(state) - cols["T"][jt, je]) <= 1e-6
+            assert abs(cc.discord - cols["D"][jt, je]) <= 1e-6
+            assert abs(cc.excess - cols["L"][jt, je]) <= 1e-6
 
     def test_bell_corner(self, small_scan):
         # theta = 0, eps = 1 is the Bell state: K = 1 and C = 1.
@@ -140,13 +161,6 @@ class TestCompareJk:
 
 
 class TestParams:
-    def test_mdms_params_validate(self):
-        MdmsParams(epsilon=0.5, theta=0.3)
-        with pytest.raises(BadParams):
-            MdmsParams(epsilon=1.4)
-        with pytest.raises(BadParams):
-            MdmsParams(epsilon=0.5, theta=1.0)
-
     def test_threshold_result_ordering_guard(self):
         from hookup.mdms import ThresholdResult
 

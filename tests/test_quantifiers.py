@@ -223,6 +223,11 @@ class TestOptimizedQuantifiers:
         j = total_correlations(cc.chi)
         t = total_correlations(state)
         excess = d + j - t
+        # The fields of the search result are these same formulas.
+        assert cc.discord == d
+        assert cc.classical_correlations == j
+        assert cc.excess == excess
+        assert cc.excess_residual <= 1e-7
         assert excess >= -1e-8
         assert t <= d + j + 1e-8
         # Local coherence in the chi eigenbasis reproduces the excess term.
