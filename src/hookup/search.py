@@ -8,6 +8,13 @@ The grid contraction (``joint_dephased_entropies``) and the refinement kernel
 (``angle_factors`` then ``product_probs``) share one basis parameterization;
 the kernel builds no basis or state object per objective call.
 
+The grid is one matrix product per subsystem, last subsystem first, and holds
+at most ``_CHUNK_BYTES`` of its final, full-size product at a time.  Its values
+differ from a direct evaluation by ulps, and noise must not order exact ties at
+the grid minimum (Bell-state continua, classical states): seeding counts values
+within ``_SEED_TIE`` of the minimum as tied and takes them by cell index, so
+the computational basis (cell 0) is refined whenever it is tied.
+
 Angle vectors are ordered ``(theta_1, phi_1, theta_2, phi_2, ...)``; grid cell
 indices are theta-major per qubit (``option = i_theta * n_phi + i_phi``).
 """
@@ -16,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,6 +39,8 @@ _LN2 = math.log(2.0)
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
 GRID_CELL_BUDGET = 6_000_000
 _CHUNK_BYTES = 2.0e8
+# Grid values this close to the grid minimum count as an exact tie when seeding.
+_SEED_TIE = 1e-12
 _EYE2 = np.eye(2)
 
 
@@ -70,6 +80,7 @@ class OptimizerResult:
     starts: int
     nfev: int
     grid_points: int
+    requested_grid_points: int
 
     def angle_vector(self) -> np.ndarray:
         return np.array([x for a in self.angles for x in (a.theta, a.phi)])
@@ -81,6 +92,7 @@ class OptimizerResult:
             "converged": self.converged,
             "function_evals": self.nfev,
             "grid_points": self.grid_points,
+            "requested_grid_points": self.requested_grid_points,
         }
 
 
@@ -125,9 +137,11 @@ def qubit_basis_vectors(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return v.reshape(-1, 2, 2)
 
 
-def _entropy_rows(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, 0.0, None)
-    return -xlogy(p, p).sum(axis=-1) / _LN2
+def _projector_stack(v: np.ndarray) -> np.ndarray:
+    """``P[(o, s), (a, b)] = conj(V[o, a, s]) * V[o, b, s]`` for one candidate stack."""
+    k, d, _ = v.shape
+    w = np.swapaxes(v, 1, 2)
+    return (w.conj()[:, :, :, None] * w[:, :, None, :]).reshape(k * d, d * d)
 
 
 def joint_dephased_entropies(
@@ -137,47 +151,47 @@ def joint_dephased_entropies(
 
     ``vectors[q]`` holds the candidate basis-vector matrices of subsystem q.
     Returns an array shaped ``(len(vectors[0]), ..., len(vectors[n-1]))``.
-    The contraction runs one subsystem at a time and chunks over the first
-    subsystem's candidates to bound memory.
+
+    The state, on paired ``(a_q, b_q)`` axes, meets each projector stack
+    ``P_q[(o, s), (a, b)]`` in one matrix product, last subsystem first; the
+    tail ``T`` left for ``P_0`` holds ``dims[0]**2`` weights per candidate and
+    outcome of subsystems 1..n-1.  The full-size product with ``P_0`` runs as
+    the real part ``[Re P_0, -Im P_0] @ [Re T; Im T]`` over blocks of
+    first-subsystem candidates of at most ``_CHUNK_BYTES`` each, so peak memory
+    is about 1.5 blocks plus ``T``; each block is clipped at 0 and reduced to
+    entropies where it lies, one outcome axis at a time.
     """
     dims = tuple(int(d) for d in dims)
-    n = len(dims)
     counts = [v.shape[0] for v in vectors]
-    t_full = np.asarray(matrix, dtype=complex).reshape(dims + dims)
+    stacks = [_projector_stack(v) for v in vectors]
+    paired = np.arange(2 * len(dims)).reshape(2, -1).T.ravel()
+    t = np.asarray(matrix, dtype=complex).reshape(dims + dims).transpose(paired)
+    rest = 1
+    for q in range(len(dims) - 1, 0, -1):
+        t = stacks[q] @ t.reshape(-1, dims[q] ** 2, rest)
+        rest *= stacks[q].shape[0]
+    t = np.concatenate([t.real, t.imag]).reshape(2 * dims[0] ** 2, rest)
+    p0 = np.concatenate([stacks[0].real, -stacks[0].imag], axis=1)
 
-    # Integer einsum labels: ket a_q, bra b_q, option o_q, outcome s_q.
-    a = [q for q in range(n)]
-    b = [n + q for q in range(n)]
-    o = [2 * n + q for q in range(n)]
-    s = [3 * n + q for q in range(n)]
-
-    rest = int(np.prod(counts[1:], dtype=np.int64)) if n > 1 else 1
-    slice_bytes = rest * (2**n) * 16
-    chunk = max(1, min(counts[0], int(_CHUNK_BYTES // max(1, slice_bytes))))
-
-    out = np.empty(int(np.prod(counts, dtype=np.int64)), dtype=float)
+    chunk = max(1, min(counts[0], int(_CHUNK_BYTES // (dims[0] * rest * 8))))
+    out = np.empty((counts[0], math.prod(counts[1:])))
     for lo in range(0, counts[0], chunk):
         hi = min(counts[0], lo + chunk)
-        v0 = vectors[0][lo:hi]
-        subs = [o[0], s[0]] + a[1:] + b[1:]
-        t = np.einsum(v0.conj(), [o[0], a[0], s[0]], t_full, a + b, v0, [o[0], b[0], s[0]], subs)
-        for q in range(1, n):
-            cur = subs
-            subs = cur[: 2 * q] + [o[q], s[q]] + a[q + 1 :] + b[q + 1 :]
-            t = np.einsum(
-                vectors[q].conj(), [o[q], a[q], s[q]], t, cur, vectors[q], [o[q], b[q], s[q]], subs
-            )
-        # Axes now (o0, s0, o1, s1, ...): group options first, outcomes last.
-        perm = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-        probs = np.real(np.transpose(t, perm)).reshape(-1, 2**n)
-        out[lo * rest : hi * rest] = _entropy_rows(probs)
-    return out.reshape(tuple(counts))
+        # Axes (o_0, s_0, o_1, s_1, ...); each pass sums away the next s_q.
+        p = p0[lo * dims[0] : hi * dims[0]] @ t
+        np.maximum(p, 0.0, out=p)
+        xlogy(p, p, out=p)
+        for q, d in enumerate(dims):
+            slabs = p.reshape((hi - lo) * math.prod(counts[1 : q + 1]), d, -1)
+            p = reduce(np.add, np.moveaxis(slabs, 1, 0))
+        out[lo:hi] = p.reshape(hi - lo, -1)
+    return (-out / _LN2).reshape(counts)
 
 
 def marginal_dephased_entropies(marginal: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Dephased entropy of one single-qubit marginal for every basis option."""
-    p = np.real(np.einsum("oas,ab,obs->os", vectors.conj(), marginal, vectors))
-    return _entropy_rows(p)
+    p = np.clip(np.real(np.einsum("oas,ab,obs->os", vectors.conj(), marginal, vectors)), 0.0, None)
+    return -xlogy(p, p).sum(axis=-1) / _LN2
 
 
 def angle_factors(vector: np.ndarray) -> np.ndarray:
@@ -210,27 +224,14 @@ def product_probs(matrix: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return np.real((b.conj() * (matrix @ b)).sum(axis=0))
 
 
-def _cell_angles(flat_index: int, counts: Sequence[int], thetas, phis) -> np.ndarray:
+def _cell_angles(flat_index: int, n_qubits: int, thetas, phis) -> np.ndarray:
     """Angle vector of a flat grid cell index."""
-    n_phi = len(phis)
-    out = []
-    remaining = int(flat_index)
-    radix = list(counts)
-    coords = []
-    for c in reversed(radix):
-        coords.append(remaining % c)
-        remaining //= c
-    for opt in reversed(coords):
-        out.extend((thetas[opt // n_phi], phis[opt % n_phi]))
-    return np.array(out)
+    idx = np.unravel_index(flat_index, (len(thetas), len(phis)) * n_qubits)
+    return np.column_stack([thetas[list(idx[0::2])], phis[list(idx[1::2])]]).ravel()
 
 
-def _canonical_pairs(angle_vector: np.ndarray) -> tuple[QubitBasisAngles, ...]:
-    pairs = []
-    for q in range(len(angle_vector) // 2):
-        theta, phi = angle_vector[2 * q], angle_vector[2 * q + 1]
-        pairs.append(canonical_angles(qubit_unitary(theta, phi)))
-    return tuple(pairs)
+def _canonical_pairs(v: np.ndarray) -> tuple[QubitBasisAngles, ...]:
+    return tuple(canonical_angles(qubit_unitary(t, p)) for t, p in zip(v[0::2], v[1::2]))
 
 
 def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:
@@ -260,34 +261,32 @@ def minimize_over_product_bases(
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
     thetas, phis = angle_axes(pts)
-    counts = [len(thetas) * len(phis)] * n_qubits
     values = np.asarray(batch(thetas, phis), dtype=float).ravel()
 
     ncells = values.size
     n_starts = min(cfg.multistarts, ncells)
-    # Pull a pool several times larger than the start count so that exact ties
-    # at the grid minimum are ordered by cell index, making the selection (and
-    # therefore the eventual tie-break winner) deterministic and canonical.
+    # Cells within _SEED_TIE of the grid minimum are tied and go first, by cell
+    # index, so the computational basis (cell 0) seeds every tie it is in.  The
+    # rest follow in (value, index) order from a pool several times the start
+    # count, so that their own exact ties are ordered by index as well.
+    low = values.min() + _SEED_TIE
     pool = min(ncells, max(8 * n_starts, 64))
     part = np.argpartition(values, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
-    order = np.lexsort((part, values[part]))
-    seeds = part[order][:n_starts]
+    part = part[values[part] > low]
+    seeds = np.concatenate([np.flatnonzero(values <= low), part[np.lexsort((part, values[part]))]])
+    seeds = seeds[:n_starts]
 
-    theta_step = thetas[1] - thetas[0]
-    phi_step = phis[1] - phis[0]
-    steps = np.array([theta_step / 2, phi_step / 2] * n_qubits)
+    steps = np.array([(thetas[1] - thetas[0]) / 2, (phis[1] - phis[0]) / 2] * n_qubits)
 
     candidates: list[tuple[float, np.ndarray, bool, int]] = []
     nfev = 0
     for cell in seeds:
-        x0 = _cell_angles(int(cell), counts, thetas, phis)
+        x0 = _cell_angles(int(cell), n_qubits, thetas, phis)
         # Grid points themselves stay in the pool: along degenerate valleys a
         # refined point only drifts, and the tie-break should prefer the clean
         # grid representative.
         candidates.append((float(values[int(cell)]), x0, True, int(cell)))
-        simplex = np.vstack(
-            [x0] + [x0 + steps[i] * np.eye(2 * n_qubits)[i] for i in range(2 * n_qubits)]
-        )
+        simplex = x0 + np.vstack([np.zeros(2 * n_qubits), np.diag(steps)])
         res = minimize(
             objective,
             x0,
@@ -315,4 +314,5 @@ def minimize_over_product_bases(
         starts=n_starts,
         nfev=nfev,
         grid_points=pts,
+        requested_grid_points=cfg.grid_points,
     )

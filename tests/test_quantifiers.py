@@ -157,6 +157,23 @@ class TestClosestClassical:
         with pytest.raises(TooManyQubits):
             closest_classical(DensityMatrix((2,) * 5, np.eye(32) / 32))
 
+    def test_computational_basis_wins_exact_ties(self):
+        # Each of these minima is reached on a continuum or a symmetric set of
+        # bases that includes the computational one; it must win the tie on
+        # every qubit, whatever ulp noise the grid contraction adds.
+        def assert_computational(basis):
+            assert all((a.theta, a.phi) == (0.0, 0.0) for a in basis.angles)
+
+        for name in ("bell", "classical-correlated"):
+            report = full_report(preset(name))
+            assert_computational(report.chi_basis)
+            assert_computational(report.g_basis)
+        for eps in (0.2, 0.4, 0.6):
+            assert_computational(closest_classical(preset("mdms", epsilon=eps)).basis)
+        for n in (3, 4):
+            cfg = OptimizerConfig(grid_points=5)
+            assert_computational(closest_classical(preset("ghz", n=n), cfg).basis)
+
 
 class TestOptimizedQuantifiers:
     def test_discord_classical_zero(self):
@@ -285,7 +302,7 @@ class TestFullReport:
 
 class TestScaling:
     def test_four_qubit_search_path(self):
-        # Exercises the chunked grid cascade and the per-angle budget cap.
+        # Exercises the 4-qubit grid contraction and the per-angle budget cap.
         cc = closest_classical(preset("ghz", n=4), OptimizerConfig(grid_points=5, multistarts=4))
         assert abs(von_neumann_entropy(cc.chi) - 1.0) <= 1e-9
         assert all(a.theta <= 1e-6 for a in cc.basis.angles)
@@ -297,6 +314,11 @@ class TestScaling:
         assert effective_grid_points(17, 2) == 17
         assert effective_grid_points(17, 3) == 13
         assert effective_grid_points(17, 4) == 7
+
+    def test_meta_reports_requested_and_effective_grid(self):
+        meta = closest_classical(preset("w-mixture")).optimizer.meta()
+        assert meta["requested_grid_points"] == 17
+        assert meta["grid_points"] == 13
 
     def test_six_qubit_fixed_basis(self):
         # Dimension-64 boundary: pure GHZ has T = n, C = 1, K = n - 1, M = n.
@@ -366,22 +388,64 @@ class TestMinimizeOverProductBases:
         assert first.optimizer.value == second.optimizer.value
         assert np.array_equal(first.chi.matrix, second.chi.matrix)
 
-    def test_batch_matches_scalar_objective(self):
-        # The vectorized grid evaluator must agree with the scalar path.
+    @pytest.mark.parametrize(
+        "points, pure",
+        [
+            ((5, 5), False),
+            ((3, 5), True),
+            ((5, 3, 4), False),
+            ((3, 5, 3), True),
+            ((3, 4, 3, 5), False),
+            ((3, 3, 5, 3), True),
+        ],
+        ids=["2q", "2q-rank1", "3q", "3q-rank1", "4q", "4q-rank1"],
+    )
+    def test_batch_matches_scalar_objective(self, points, pure):
+        # The grid contraction must agree with the reference dephasing path for
+        # 2-4 qubits and per-qubit candidate stacks of unequal length.  The
+        # rank-1 GHZ states have zero dephased weights that the products return
+        # slightly negative, so they also reach the clip before the logarithm.
         from hookup.search import angle_axes, joint_dephased_entropies, qubit_basis_vectors
 
         rng = np.random.default_rng(12)
-        state = random_state(rng, (2, 2))
-        thetas, phis = angle_axes(5)
-        vecs = qubit_basis_vectors(thetas, phis)
-        grid = joint_dephased_entropies(state.matrix, state.dims, [vecs, vecs])
-        for o1, o2 in [(0, 0), (3, 17), (24, 9), (13, 13)]:
-            t1, p1 = thetas[o1 // 5], phis[o1 % 5]
-            t2, p2 = thetas[o2 // 5], phis[o2 % 5]
-            direct = von_neumann_entropy(
-                dephase(state, basis_from_angles([(t1, p1), (t2, p2)]))
-            )
-            assert abs(grid[o1, o2] - direct) <= 1e-12
+        n = len(points)
+        state = preset("ghz", n=n) if pure else random_state(rng, (2,) * n)
+        axes = [angle_axes(k) for k in points]
+        vecs = [qubit_basis_vectors(thetas, phis) for thetas, phis in axes]
+        grid = joint_dephased_entropies(state.matrix, state.dims, vecs)
+        assert grid.shape == tuple(k * k for k in points)
+        assert np.all(np.isfinite(grid))
+        cells = [tuple(c - 1 for c in grid.shape), (0,) * n]
+        cells += [tuple(int(rng.integers(c)) for c in grid.shape) for _ in range(8)]
+        for cell in cells:
+            pairs = [(t[o // len(p)], p[o % len(p)]) for o, (t, p) in zip(cell, axes)]
+            direct = von_neumann_entropy(dephase(state, basis_from_angles(pairs)))
+            assert abs(grid[cell] - direct) <= 1e-12
+
+    def test_chunked_grid_equals_single_chunk(self, monkeypatch):
+        # Blocks over the first qubit's candidates must reproduce the one-block
+        # grid exactly, including a ragged last block.
+        from scipy.special import xlogy
+
+        from hookup import search
+
+        state = random_state(np.random.default_rng(14), (2, 2, 2))
+        vecs = [search.qubit_basis_vectors(*search.angle_axes(k)) for k in (5, 3, 3)]
+        whole = search.joint_dephased_entropies(state.matrix, state.dims, vecs)
+
+        blocks = []
+
+        def counting_xlogy(x, y, out=None):
+            blocks.append(x.shape[0])
+            return xlogy(x, y, out=out)
+
+        monkeypatch.setattr(search, "xlogy", counting_xlogy)
+        # Room for 4 of the 25 first-qubit candidates per block: each takes
+        # 2 outcomes x (9 x 2)^2 real weights of 8 bytes.
+        monkeypatch.setattr(search, "_CHUNK_BYTES", 4 * 2 * 18**2 * 8)
+        chunked = search.joint_dephased_entropies(state.matrix, state.dims, vecs)
+        assert blocks == [8] * 6 + [2]
+        assert np.array_equal(chunked, whole)
 
     def test_grid_mapping_finds_isolated_cell(self):
         # An objective that is 0 only in a tiny ball around one exact grid
