@@ -62,7 +62,6 @@ def scan_mdms(
     epsilon_points: int = 101,
     cfg: OptimizerConfig | None = None,
     theta_max: float = math.pi / 4,
-    progress: Callable[[int, int], None] | None = None,
 ) -> ScanTable:
     """Evaluate every quantifier over the (theta, epsilon) grid.
 
@@ -98,8 +97,6 @@ def scan_mdms(
             cols["C_M"][jt, je] = c - c_l
             cols["K"][jt, je] = irreducible_classical(state)
             cols["M"][jt, je] = hookup(state)
-        if progress is not None:
-            progress(je + 1, epsilon_points)
 
     provenance = (
         f"hookup scan-mdms version={_package_version()}",

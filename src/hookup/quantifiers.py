@@ -26,11 +26,12 @@ from .errors import HookupError, NotAllQubits, TooManyQubits
 from .search import (
     OptimizerConfig,
     OptimizerResult,
+    angle_derivatives,
     angle_factors,
+    dephased_entropy,
     joint_dephased_entropies,
     marginal_dephased_entropies,
     minimize_over_product_bases,
-    product_probs,
     qubit_basis_vectors,
 )
 from .states import (
@@ -126,24 +127,37 @@ class ClosestClassical:
     excess_residual: float
 
 
+def _joint_grid(state: DensityMatrix):
+    """``batch`` of joint dephased entropies of ``state``, evaluated once per grid size."""
+    memo = {}
+
+    def grid(thetas, phis):
+        if len(thetas) not in memo:
+            vecs = [qubit_basis_vectors(thetas, phis)] * state.n_parts
+            memo[len(thetas)] = joint_dephased_entropies(state.matrix, state.dims, vecs)
+        return memo[len(thetas)]
+
+    return grid
+
+
 def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> ClosestClassical:
     """Classically correlated state closest to ``state``.
 
     Returns the dephasing of the state in the entropy-minimizing product
-    basis, found by grid seeding plus simplex refinement, together with the
-    discord, classical correlations and excess term it determines.
+    basis, found by grid seeding plus L-BFGS-B refinement on the analytic
+    angle gradient, together with the discord, classical correlations and
+    excess term it determines.
     """
-    _require_optimizable(state)
-    cfg = cfg or OptimizerConfig()
+    return _closest_classical(state, cfg or OptimizerConfig(), _joint_grid(state))
 
-    def batch(thetas, phis):
-        vecs = [qubit_basis_vectors(thetas, phis)] * state.n_parts
-        return joint_dephased_entropies(state.matrix, state.dims, vecs)
+
+def _closest_classical(state: DensityMatrix, cfg: OptimizerConfig, grid) -> ClosestClassical:
+    _require_optimizable(state)
 
     def objective(vector):
-        return entropy_of_probs(product_probs(state.matrix, angle_factors(vector)))
+        return dephased_entropy(state.matrix, angle_factors(vector), angle_derivatives(vector))
 
-    result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
+    result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=grid)
     basis = basis_from_angles(result.angles, dims=state.dims)
     chi = dephase(state, basis)
     d = von_neumann_entropy(chi) - von_neumann_entropy(state)
@@ -183,11 +197,11 @@ def excess_correlations(state: DensityMatrix, cfg: OptimizerConfig | None = None
 
 def global_discord(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Multipartite coherence minimized over all product bases."""
-    return _global_discord_opt(state, cfg or OptimizerConfig())[0]
+    return _global_discord_opt(state, cfg or OptimizerConfig(), _joint_grid(state))[0]
 
 
 def _global_discord_opt(
-    state: DensityMatrix, cfg: OptimizerConfig
+    state: DensityMatrix, cfg: OptimizerConfig, grid
 ) -> tuple[float, OptimizerResult]:
     _require_optimizable(state)
     marginals = [state.marginal(q).matrix for q in range(state.n_parts)]
@@ -197,8 +211,7 @@ def _global_discord_opt(
     constant = -s_state + sum(s_marginals)
 
     def batch(thetas, phis):
-        vecs = qubit_basis_vectors(thetas, phis)
-        joint = joint_dephased_entropies(state.matrix, state.dims, [vecs] * state.n_parts)
+        vecs, joint = qubit_basis_vectors(thetas, phis), grid(thetas, phis)
         for q, m in enumerate(marginals):
             shape = [1] * state.n_parts
             shape[q] = -1
@@ -206,11 +219,13 @@ def _global_discord_opt(
         return joint
 
     def objective(vector):
-        u = angle_factors(vector)
-        value = entropy_of_probs(product_probs(state.matrix, u))
+        u, du = angle_factors(vector), angle_derivatives(vector)
+        value, grad = dephased_entropy(state.matrix, u, du)
         for q, m in enumerate(marginals):
-            value -= entropy_of_probs(product_probs(m, u[q : q + 1]))
-        return value
+            v, g = dephased_entropy(m, u[q : q + 1], du[q : q + 1])
+            value -= v
+            grad[2 * q : 2 * q + 2] -= g
+        return value, grad
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
     return result.value + constant, result
@@ -361,13 +376,14 @@ def full_report(
         reason = str(exc)
 
     if available:
-        cc = closest_classical(state, cfg)
+        grid = _joint_grid(state)
+        cc = _closest_classical(state, cfg, grid)
         chi_basis = cc.basis
         d_val = cc.discord
         j_val = cc.classical_correlations
         l_val = cc.excess
         residuals["excess_cross_form"] = cc.excess_residual
-        g_val, g_result = _global_discord_opt(state, cfg)
+        g_val, g_result = _global_discord_opt(state, cfg, grid)
         g_basis = basis_from_angles(g_result.angles, dims=state.dims)
         meta = {"chi": cc.optimizer.meta(), "global": g_result.meta()}
 

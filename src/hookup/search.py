@@ -1,19 +1,21 @@
 """Direct search over product dephasing bases.
 
-A coarse angle grid seeds several Nelder-Mead refinements; the best refined
-point wins, with deterministic tie-breaking toward the basis with the smallest
-canonical angle norm (the computational basis wins exact ties).  Everything is
-deterministic for a fixed configuration, so repeated runs are bit-identical.
-The grid contraction (``joint_dephased_entropies``) and the refinement kernel
-(``angle_factors`` then ``product_probs``) share one basis parameterization;
-the kernel builds no basis or state object per objective call.
+A coarse angle grid seeds L-BFGS-B refinements on an analytic angle gradient;
+the best refined or grid point wins, with deterministic tie-breaking toward the
+basis with the smallest canonical angle norm (the computational basis wins
+exact ties).  Everything is deterministic for a fixed configuration, so repeated
+runs are bit-identical.  The grid contraction (``joint_dephased_entropies``) and
+the refinement kernel (``angle_factors``, ``angle_derivatives``, then
+``dephased_entropy``) share one basis parameterization; the kernel builds no
+basis or state object per objective call.
 
 The grid is one matrix product per subsystem, last subsystem first, and holds
 at most ``_CHUNK_BYTES`` of its final, full-size product at a time.  Its values
 differ from a direct evaluation by ulps, and noise must not order exact ties at
 the grid minimum (Bell-state continua, classical states): seeding counts values
 within ``_SEED_TIE`` of the minimum as tied and takes them by cell index, so
-the computational basis (cell 0) is refined whenever it is tied.
+the computational basis (cell 0) is refined whenever it is tied.  Only the first
+grid option of each distinct basis seeds, so the starts leave the pole saddle.
 
 Angle vectors are ordered ``(theta_1, phi_1, theta_2, phi_2, ...)``; grid cell
 indices are theta-major per qubit (``option = i_theta * n_phi + i_phi``).
@@ -41,6 +43,8 @@ GRID_CELL_BUDGET = 6_000_000
 _CHUNK_BYTES = 2.0e8
 # Grid values this close to the grid minimum count as an exact tie when seeding.
 _SEED_TIE = 1e-12
+# L-BFGS-B stops once every gradient component is this small (bits per radian).
+_GTOL = 1e-9
 _EYE2 = np.eye(2)
 
 
@@ -49,10 +53,10 @@ class OptimizerConfig:
     """Knobs for the product-basis search.
 
     ``grid_points`` is the coarse grid resolution per angle, ``multistarts``
-    the number of refined starts, ``tol`` the simplex shrink tolerance on the
-    objective, ``max_iter`` the per-start iteration cap.  The search is fully
-    deterministic, so these four values fix the result.  Raises BadParams on
-    out-of-range values.
+    the most refined starts, ``tol`` the relative objective decrease per step
+    below which an L-BFGS-B start stops (its ``ftol``), ``max_iter`` the
+    per-start iteration cap.  The search is fully deterministic, so these four
+    values fix the result.  Raises BadParams on out-of-range values.
     """
 
     grid_points: int = 17
@@ -210,24 +214,63 @@ def angle_factors(vector: np.ndarray) -> np.ndarray:
     return u
 
 
-def product_probs(matrix: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Diagonal weights of ``matrix`` in the product basis of ``factors``.
+def angle_derivatives(vector: np.ndarray) -> np.ndarray:
+    """d/dtheta and d/dphi of each ``angle_factors`` factor, shape (n_qubits, 2, 2, 2).
 
-    The refinement kernel's second half.  The product basis B (subsystem 0
-    most significant, as ``np.kron``) is built by broadcast outer products;
-    the weights are Re sum_i conj(B) * (matrix B).
+    d/dtheta is the factor at theta + pi/2; d/dphi is i [u, |1><1|].
     """
-    b = factors[0]
-    for f in factors[1:]:
-        d = b.shape[0] * f.shape[0]
-        b = (b[:, None, :, None] * f[None, :, None, :]).reshape(d, d)
-    return np.real((b.conj() * (matrix @ b)).sum(axis=0))
+    v = np.asarray(vector, dtype=float)
+    d_phi = 1j * _basis_matrices(v[0::2], v[1::2]) * np.array([[0, 1], [-1, 0]])
+    return np.stack([_basis_matrices(v[0::2] + math.pi / 2, v[1::2]), d_phi], axis=1)
+
+
+def product_probs(matrix: np.ndarray, factors: np.ndarray, derivatives=None):
+    """Diagonal weights p of ``matrix`` in the product basis B of ``factors``.
+
+    B (subsystem 0 most significant, as ``np.kron``) is a broadcast outer
+    product and p = Re sum_i conj(B) * (matrix B).  Given the factors'
+    ``angle_derivatives``, returns ``(p, dp)`` with dp[2q + a] = 2 Re sum_i
+    conj(dB) * (matrix B), dB being B with factor q differentiated in angle a.
+    """
+    n = len(factors)
+    stack = np.repeat(factors[:, None], 1 if derivatives is None else 2 * n + 1, axis=1)
+    if derivatives is not None:
+        stack[np.arange(n)[:, None], 1 + 2 * np.arange(n)[:, None] + np.arange(2)] = derivatives
+    b = stack[0]
+    for f in stack[1:]:
+        k, d = b.shape[0], b.shape[1] * f.shape[1]
+        b = (b[:, :, None, :, None] * f[:, None, :, None, :]).reshape(k, d, d)
+    w = np.real(b.conj() * (matrix @ b[0])).sum(axis=1)
+    return w[0] if derivatives is None else (w[0], 2.0 * w[1:])
+
+
+def dephased_entropy(matrix: np.ndarray, factors: np.ndarray, derivatives: np.ndarray):
+    """Entropy S in bits of the ``product_probs`` weights, and dS over their 2n angles.
+
+    Weights are clipped at 0 and zero weights add 0; as sum dp = 0, dS = -sum log2(p) dp.
+    """
+    p, dp = product_probs(matrix, factors, derivatives)
+    p = np.maximum(p, 0.0)
+    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return float(-p @ log_p), -(dp @ log_p)
 
 
 def _cell_angles(flat_index: int, n_qubits: int, thetas, phis) -> np.ndarray:
     """Angle vector of a flat grid cell index."""
     idx = np.unravel_index(flat_index, (len(thetas), len(phis)) * n_qubits)
     return np.column_stack([thetas[list(idx[0::2])], phis[list(idx[1::2])]]).ravel()
+
+
+def _first_options(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Mask of the grid options that are the first to give their basis.
+
+    An option's basis is its projector axis pair {n, -n}, keyed by n n^T; so
+    every theta in {0, pi/2} gives option 0's basis, the computational one.
+    """
+    t, p = np.meshgrid(2 * thetas, phis, indexing="ij")
+    n = np.stack([np.cos(t), np.sin(t) * np.cos(p), np.sin(t) * np.sin(p)], -1).reshape(-1, 3)
+    key = np.round(n[:, :, None] * n[:, None, :], 9).reshape(len(n), 9) + 0.0
+    return np.isin(np.arange(len(n)), np.unique(key, axis=0, return_index=True)[1])
 
 
 def _canonical_pairs(v: np.ndarray) -> tuple[QubitBasisAngles, ...]:
@@ -244,7 +287,7 @@ def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:
 
 
 def minimize_over_product_bases(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n_qubits: int,
     cfg: OptimizerConfig | None = None,
     *,
@@ -252,31 +295,34 @@ def minimize_over_product_bases(
 ) -> OptimizerResult:
     """Minimize a continuous function of 2*n_qubits basis angles.
 
-    ``batch(thetas, phis)`` evaluates the objective on the full coarse grid,
-    one value per cell with theta-major per-qubit cells and qubit 0 most
-    significant (the layout of ``joint_dephased_entropies``).  The best
-    ``multistarts`` distinct cells seed Nelder-Mead refinements of
-    ``objective``, and the best refined value wins.
+    ``objective(vector)`` returns ``(value, gradient)``.  ``batch(thetas,
+    phis)`` evaluates the objective on the full coarse grid, one value per cell
+    with theta-major per-qubit cells and qubit 0 most significant (the layout
+    of ``joint_dephased_entropies``).  The best ``multistarts`` cells made of
+    first options of distinct bases seed L-BFGS-B refinements of ``objective``,
+    and the best refined or seed value wins.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
     thetas, phis = angle_axes(pts)
     values = np.asarray(batch(thetas, phis), dtype=float).ravel()
 
+    # Only cells whose every option is the first of its basis may seed.
+    first = _first_options(thetas, phis)
+    allowed = reduce(lambda a, b: np.logical_and.outer(a, b).ravel(), [first] * n_qubits)
+    seedable = np.where(allowed, values, np.inf)
     ncells = values.size
-    n_starts = min(cfg.multistarts, ncells)
+    n_starts = min(cfg.multistarts, int(allowed.sum()))
     # Cells within _SEED_TIE of the grid minimum are tied and go first, by cell
     # index, so the computational basis (cell 0) seeds every tie it is in.  The
     # rest follow in (value, index) order from a pool several times the start
     # count, so that their own exact ties are ordered by index as well.
-    low = values.min() + _SEED_TIE
+    low = seedable.min() + _SEED_TIE
     pool = min(ncells, max(8 * n_starts, 64))
-    part = np.argpartition(values, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
-    part = part[values[part] > low]
-    seeds = np.concatenate([np.flatnonzero(values <= low), part[np.lexsort((part, values[part]))]])
+    part = np.argpartition(seedable, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
+    part = part[(seedable[part] > low) & allowed[part]]
+    seeds = np.concatenate([np.flatnonzero(seedable <= low), part[np.lexsort((part, values[part]))]])
     seeds = seeds[:n_starts]
-
-    steps = np.array([(thetas[1] - thetas[0]) / 2, (phis[1] - phis[0]) / 2] * n_qubits)
 
     candidates: list[tuple[float, np.ndarray, bool, int]] = []
     nfev = 0
@@ -286,18 +332,12 @@ def minimize_over_product_bases(
         # refined point only drifts, and the tie-break should prefer the clean
         # grid representative.
         candidates.append((float(values[int(cell)]), x0, True, int(cell)))
-        simplex = x0 + np.vstack([np.zeros(2 * n_qubits), np.diag(steps)])
         res = minimize(
             objective,
             x0,
-            method="Nelder-Mead",
-            options={
-                "fatol": cfg.tol,
-                "xatol": 1e-5,
-                "maxiter": cfg.max_iter,
-                "maxfev": 4 * cfg.max_iter,
-                "initial_simplex": simplex,
-            },
+            jac=True,
+            method="L-BFGS-B",
+            options={"ftol": cfg.tol, "gtol": _GTOL, "maxiter": cfg.max_iter},
         )
         nfev += int(res.nfev)
         candidates.append((float(res.fun), np.asarray(res.x, dtype=float), bool(res.success), int(cell)))

@@ -1,0 +1,54 @@
+"""The product-basis search against closed-form optima.
+
+Each oracle is plain numpy: the exact discord and classical correlations of
+Bell-diagonal states (Modi et al., PRL 104, 080501, 2010), D = 1 for GHZ(4),
+and D = 0 for classical states under local unitaries.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import PAULIS, random_unitary
+from hookup import DensityMatrix, closest_classical, preset
+
+# Bell states Phi+, Phi-, Psi+, Psi- as correlation vectors (c_x, c_y, c_z) of
+# (I + sum_i c_i sigma_i x sigma_i) / 4.
+BELL_CORRELATIONS = np.array([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float)
+
+
+def shannon(p) -> float:
+    p = np.asarray(p, dtype=float)
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def binary_entropy(q: float) -> float:
+    return shannon([q, 1 - q])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bell_diagonal_discord_and_classical_correlations(seed):
+    rng = np.random.default_rng(4100 + seed)
+    weights = rng.dirichlet(np.ones(4))
+    c = weights @ BELL_CORRELATIONS
+    matrix = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+    h = binary_entropy((1 + np.max(np.abs(c))) / 2)
+
+    cc = closest_classical(DensityMatrix((2, 2), matrix))
+    assert abs(cc.discord - (1 + h - shannon(weights))) <= 1e-6
+    assert abs(cc.classical_correlations - (1 - h)) <= 1e-6
+
+
+def test_ghz4_discord_is_one():
+    assert abs(closest_classical(preset("ghz", n=4)).discord - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("n_qubits", [3, 4])
+def test_locally_rotated_classical_state_has_no_discord(n_qubits):
+    rng = np.random.default_rng(4200 + n_qubits)
+    u = random_unitary(rng, 2)
+    for _ in range(n_qubits - 1):
+        u = np.kron(u, random_unitary(rng, 2))
+    classical = np.diag(rng.dirichlet(np.ones(2**n_qubits)))
+    state = DensityMatrix((2,) * n_qubits, u @ classical @ u.conj().T)
+    assert closest_classical(state).discord <= 1e-6

@@ -346,12 +346,44 @@ def looped_batch(objective, n_qubits):
     return batch
 
 
+def with_fd_gradient(objective, h=1e-6):
+    """The ``(value, gradient)`` form of a scalar objective, by central differences."""
+
+    def value_and_gradient(vector):
+        steps = h * np.eye(len(vector))
+        grad = [(objective(vector + e) - objective(vector - e)) / (2 * h) for e in steps]
+        return objective(vector), np.array(grad)
+
+    return value_and_gradient
+
+
+def recorded_objectives(monkeypatch, state):
+    """The D and G objectives that closest_classical and global_discord search over."""
+    from hookup import quantifiers
+
+    seen = []
+
+    def recording(objective, *args, **kwargs):
+        seen.append(objective)
+        return search_minimize(objective, *args, **kwargs)
+
+    search_minimize = quantifiers.minimize_over_product_bases
+    tiny = OptimizerConfig(grid_points=3, multistarts=1, max_iter=5)
+    with monkeypatch.context() as patch:
+        patch.setattr(quantifiers, "minimize_over_product_bases", recording)
+        closest_classical(state, tiny)
+        global_discord(state, tiny)
+    return seen
+
+
 class TestMinimizeOverProductBases:
     def test_constant_objective(self):
         def objective(vector):
             return 1.25
 
-        result = minimize_over_product_bases(objective, 2, FAST, batch=looped_batch(objective, 2))
+        result = minimize_over_product_bases(
+            with_fd_gradient(objective), 2, FAST, batch=looped_batch(objective, 2)
+        )
         assert abs(result.value - 1.25) <= 1e-12
 
     def test_bell_dephased_entropy(self):
@@ -361,7 +393,9 @@ class TestMinimizeOverProductBases:
             pairs = [(vector[0], vector[1]), (vector[2], vector[3])]
             return von_neumann_entropy(dephase(bell, basis_from_angles(pairs)))
 
-        result = minimize_over_product_bases(objective, 2, FAST, batch=looped_batch(objective, 2))
+        result = minimize_over_product_bases(
+            with_fd_gradient(objective), 2, FAST, batch=looped_batch(objective, 2)
+        )
         assert abs(result.value - 1.0) <= 1e-9
 
     def test_mdms_high_epsilon_argmin_is_x_basis(self):
@@ -372,7 +406,10 @@ class TestMinimizeOverProductBases:
             return von_neumann_entropy(dephase(state, basis_from_angles(pairs)))
 
         result = minimize_over_product_bases(
-            objective, 2, OptimizerConfig(grid_points=9), batch=looped_batch(objective, 2)
+            with_fd_gradient(objective),
+            2,
+            OptimizerConfig(grid_points=9),
+            batch=looped_batch(objective, 2),
         )
         for a in result.angles:
             assert abs(a.theta - math.pi / 4) <= 0.02
@@ -460,7 +497,7 @@ class TestMinimizeOverProductBases:
             return 0.0 if np.max(np.abs(vec - target)) < 1e-9 else 1.0
 
         result = minimize_over_product_bases(
-            objective,
+            lambda vec: (objective(vec), np.zeros(4)),
             2,
             OptimizerConfig(grid_points=5, multistarts=2),
             batch=looped_batch(objective, 2),
@@ -502,6 +539,61 @@ class TestMinimizeOverProductBases:
             g_kernel += sum(von_neumann_entropy(state.marginal(q)) for q in range(n_qubits))
             g_kernel -= von_neumann_entropy(state)
             assert abs(g_kernel - multipartite_coherence(state, basis)) <= 1e-12
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_gradient_matches_central_differences(self, monkeypatch, n_qubits):
+        # The D and G objectives return an analytic angle gradient; it must
+        # match central differences of their own values, at ranks 1 to full
+        # and at angles outside the fundamental ranges.
+        rng = np.random.default_rng(30 + n_qubits)
+        dims = (2,) * n_qubits
+        h = 1e-5
+        for rank in sorted({1, 2, 2**n_qubits}):
+            state = random_state(rng, dims, rank=rank)
+            objectives = recorded_objectives(monkeypatch, state)
+            assert len(objectives) == 2
+            thetas = rng.uniform(-math.pi, math.pi, n_qubits)
+            phis = rng.uniform(-2 * math.pi, 2 * math.pi, n_qubits)
+            vector = np.column_stack([thetas, phis]).ravel()
+            for objective in objectives:
+                _, grad = objective(vector)
+                steps = h * np.eye(2 * n_qubits)
+                fd = np.array([objective(vector + e)[0] - objective(vector - e)[0] for e in steps])
+                assert np.max(np.abs(grad - fd / (2 * h))) <= 1e-6
+
+    def test_bell_seeds_cover_distinct_bases(self, monkeypatch):
+        # Every theta in {0, pi/2} is the computational basis, and Bell's grid
+        # minimum is tied there on many cells; the starts must still go to
+        # different bases, each seeded once.
+        from hookup import search
+        from hookup.channels import canonical_angles
+        from hookup.linalg import qubit_unitary
+
+        starts = []
+
+        def recording(objective, x0, **kwargs):
+            starts.append(np.array(x0))
+            return scipy_minimize(objective, x0, **kwargs)
+
+        scipy_minimize = search.minimize
+        monkeypatch.setattr(search, "minimize", recording)
+        closest_classical(preset("bell"))
+        bases = {
+            tuple(
+                (round(a.theta, 9), round(a.phi, 9))
+                for a in (canonical_angles(qubit_unitary(t, p)) for t, p in zip(x[0::2], x[1::2]))
+            )
+            for x in starts
+        }
+        assert len(starts) == OptimizerConfig().multistarts
+        assert len(bases) == len(starts)
+
+    def test_mdms_just_above_eps_prime_leaves_computational_saddle(self):
+        # At eps = 0.672 the computational basis is a saddle of the dephased
+        # entropy: only a joint move of both polar angles lowers it.
+        state = preset("mdms", epsilon=0.672)
+        computational = von_neumann_entropy(dephase(state)) - von_neumann_entropy(state)
+        assert closest_classical(state).discord < computational - 1e-5
 
     def test_kernel_rejects_non_finite_angles(self):
         from hookup import NotUnitary
