@@ -126,17 +126,25 @@ def basis_from_angles(
 def canonical_angles(factor: np.ndarray) -> QubitBasisAngles:
     """Angles of the unordered projector pair of a 2x2 unitary.
 
-    Folds the Bloch axis into the hemisphere with non-negative z (equator ties
-    broken toward non-positive x, then non-negative y, matching the image of
-    the parameterization itself), giving theta in [0, pi/4].  The returned
-    angles regenerate the same projector set via ``basis_from_angles``.
+    The ``axis_angles`` of the Bloch axis of its first column, so theta lies
+    in [0, pi/4].  The returned angles regenerate the same projector set via
+    ``basis_from_angles``.
     """
     u = linalg.as_square(factor)
     if u.shape != (2, 2):
         raise DimensionMismatch("canonical_angles expects a 2x2 unitary")
     p0, p1 = u[0, 0], u[1, 0]
     cross = p0 * np.conj(p1)
-    n = np.array([2 * cross.real, -2 * cross.imag, abs(p0) ** 2 - abs(p1) ** 2])
+    return axis_angles(np.array([2 * cross.real, -2 * cross.imag, abs(p0) ** 2 - abs(p1) ** 2]))
+
+
+def axis_angles(n: np.ndarray) -> QubitBasisAngles:
+    """Angles of the projector pair (I +- n.sigma)/2 of a unit Bloch axis n.
+
+    Folds the axis into the hemisphere with non-negative z (equator ties
+    broken toward non-positive x, then non-negative y, matching the image of
+    the parameterization itself), giving theta in [0, pi/4].
+    """
     # Fold the axis pair {n, -n} so that the parameterization's own image is a
     # fixed point: prefer positive z, on the equator prefer non-positive x,
     # then non-negative y.

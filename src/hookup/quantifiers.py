@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial, reduce
 
 import numpy as np
 
@@ -26,13 +27,12 @@ from .errors import HookupError, NotAllQubits, TooManyQubits
 from .search import (
     OptimizerConfig,
     OptimizerResult,
-    angle_derivatives,
-    angle_factors,
     dephased_entropy,
     joint_dephased_entropies,
     marginal_dephased_entropies,
     minimize_over_product_bases,
-    qubit_basis_vectors,
+    pauli_tensor,
+    split_entropy,
 )
 from .states import (
     DensityMatrix,
@@ -127,36 +127,37 @@ class ClosestClassical:
     excess_residual: float
 
 
-def _joint_grid(state: DensityMatrix):
-    """``batch`` of joint dephased entropies of ``state``, evaluated once per grid size."""
+def _search_inputs(state: DensityMatrix):
+    """Pauli tensor of a searchable ``state`` and its joint-entropy ``batch``.
+
+    The batch evaluates ``joint_dephased_entropies`` once per grid size.
+    Raises NotAllQubits or TooManyQubits before the tensor is built.
+    """
+    _require_optimizable(state)
+    pauli = pauli_tensor(state.matrix)
     memo = {}
 
-    def grid(thetas, phis):
-        if len(thetas) not in memo:
-            vecs = [qubit_basis_vectors(thetas, phis)] * state.n_parts
-            memo[len(thetas)] = joint_dephased_entropies(state.matrix, state.dims, vecs)
-        return memo[len(thetas)]
+    def grid(options):
+        if len(options) not in memo:
+            memo[len(options)] = joint_dephased_entropies(pauli, [options] * state.n_parts)
+        return memo[len(options)]
 
-    return grid
+    return pauli, grid
 
 
 def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> ClosestClassical:
     """Classically correlated state closest to ``state``.
 
     Returns the dephasing of the state in the entropy-minimizing product
-    basis, found by grid seeding plus L-BFGS-B refinement on the analytic
-    angle gradient, together with the discord, classical correlations and
-    excess term it determines.
+    basis, found by grid seeding plus L-BFGS-B refinement of one Bloch axis
+    per qubit, together with the discord, classical correlations and excess
+    term it determines.
     """
-    return _closest_classical(state, cfg or OptimizerConfig(), _joint_grid(state))
+    return _closest_classical(state, cfg or OptimizerConfig(), *_search_inputs(state))
 
 
-def _closest_classical(state: DensityMatrix, cfg: OptimizerConfig, grid) -> ClosestClassical:
-    _require_optimizable(state)
-
-    def objective(vector):
-        return dephased_entropy(state.matrix, angle_factors(vector), angle_derivatives(vector))
-
+def _closest_classical(state: DensityMatrix, cfg: OptimizerConfig, pauli, grid) -> ClosestClassical:
+    objective = partial(dephased_entropy, pauli)
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=grid)
     basis = basis_from_angles(result.angles, dims=state.dims)
     chi = dephase(state, basis)
@@ -197,35 +198,27 @@ def excess_correlations(state: DensityMatrix, cfg: OptimizerConfig | None = None
 
 def global_discord(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Multipartite coherence minimized over all product bases."""
-    return _global_discord_opt(state, cfg or OptimizerConfig(), _joint_grid(state))[0]
+    return _global_discord_opt(state, cfg or OptimizerConfig(), *_search_inputs(state))[0]
 
 
 def _global_discord_opt(
-    state: DensityMatrix, cfg: OptimizerConfig, grid
+    state: DensityMatrix, cfg: OptimizerConfig, pauli, grid
 ) -> tuple[float, OptimizerResult]:
-    _require_optimizable(state)
-    marginals = [state.marginal(q).matrix for q in range(state.n_parts)]
-    s_state = von_neumann_entropy(state)
-    s_marginals = [entropy_of_probs(np.linalg.eigvalsh(m)) for m in marginals]
+    n = state.n_parts
+    # The marginal Bloch vectors r_q are the entries of R with one non-identity index.
+    bloch = np.array([pauli[(0,) * q + (slice(1, 4),) + (0,) * (n - q - 1)] for q in range(n)])
     # C_M(b) = [S(joint dephased) - S] - sum_q [S(marginal q dephased) - S_q]
-    constant = -s_state + sum(s_marginals)
+    s_marginals = split_entropy(np.linalg.norm(bloch, axis=1))[0]
+    constant = -von_neumann_entropy(state) + float(s_marginals.sum())
 
-    def batch(thetas, phis):
-        vecs, joint = qubit_basis_vectors(thetas, phis), grid(thetas, phis)
-        for q, m in enumerate(marginals):
-            shape = [1] * state.n_parts
-            shape[q] = -1
-            joint = joint - marginal_dephased_entropies(m, vecs).reshape(shape)
-        return joint
+    def batch(options):
+        marginal = marginal_dephased_entropies(bloch, options)
+        return grid(options) - reduce(np.add.outer, marginal.T)
 
-    def objective(vector):
-        u, du = angle_factors(vector), angle_derivatives(vector)
-        value, grad = dephased_entropy(state.matrix, u, du)
-        for q, m in enumerate(marginals):
-            v, g = dephased_entropy(m, u[q : q + 1], du[q : q + 1])
-            value -= v
-            grad[2 * q : 2 * q + 2] -= g
-        return value, grad
+    def objective(axes):
+        value, grad = dephased_entropy(pauli, axes)
+        h, slope = split_entropy(np.einsum("qi,qi->q", axes, bloch))
+        return value - h.sum(), grad - slope[:, None] * bloch
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
     return result.value + constant, result
@@ -376,14 +369,14 @@ def full_report(
         reason = str(exc)
 
     if available:
-        grid = _joint_grid(state)
-        cc = _closest_classical(state, cfg, grid)
+        pauli, grid = _search_inputs(state)
+        cc = _closest_classical(state, cfg, pauli, grid)
         chi_basis = cc.basis
         d_val = cc.discord
         j_val = cc.classical_correlations
         l_val = cc.excess
         residuals["excess_cross_form"] = cc.excess_residual
-        g_val, g_result = _global_discord_opt(state, cfg, grid)
+        g_val, g_result = _global_discord_opt(state, cfg, pauli, grid)
         g_basis = basis_from_angles(g_result.angles, dims=state.dims)
         meta = {"chi": cc.optimizer.meta(), "global": g_result.meta()}
 

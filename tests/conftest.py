@@ -71,7 +71,7 @@ def random_angle_pairs(rng: np.random.Generator, n: int):
 # ---------------------------------------------------------------------------
 
 
-def _axes(thetas, phis) -> np.ndarray:
+def bloch_axes(thetas, phis) -> np.ndarray:
     """Bloch axes n of the projector pairs (I +- n.sigma)/2 at the given angles."""
     s2t = np.sin(2 * thetas)
     return np.stack([-s2t * np.cos(phis), s2t * np.sin(phis), np.cos(2 * thetas)], axis=-1)
@@ -83,7 +83,7 @@ def _axis_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
     phis = np.linspace(0, 2 * math.pi, points, endpoint=False)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
     angles = np.stack([tt.ravel(), pp.ravel()], axis=-1)
-    return angles, _axes(angles[:, 0], angles[:, 1])
+    return angles, bloch_axes(angles[:, 0], angles[:, 1])
 
 
 def _bloch_entropy(proj_a, proj_b, cross) -> np.ndarray:
@@ -162,8 +162,8 @@ def oracle_min_dephased_entropy(
             starts.append(int(idx))
 
     def objective(x):
-        n = _axes(x[0], x[1])
-        m = _axes(x[2], x[3])
+        n = bloch_axes(x[0], x[1])
+        m = bloch_axes(x[2], x[3])
         return float(_bloch_entropy(n @ bloch_a, m @ bloch_b, n @ corr @ m))
 
     polished = grid

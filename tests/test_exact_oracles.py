@@ -2,14 +2,15 @@
 
 Each oracle is plain numpy: the exact discord and classical correlations of
 Bell-diagonal states (Modi et al., PRL 104, 080501, 2010), D = 1 for GHZ(4),
-and D = 0 for classical states under local unitaries.
+and D = 0 for classical states under local unitaries, near the computational
+basis included.
 """
 
 import numpy as np
 import pytest
 
 from conftest import PAULIS, random_unitary
-from hookup import DensityMatrix, closest_classical, preset
+from hookup import DensityMatrix, closest_classical, preset, qubit_unitary
 
 # Bell states Phi+, Phi-, Psi+, Psi- as correlation vectors (c_x, c_y, c_z) of
 # (I + sum_i c_i sigma_i x sigma_i) / 4.
@@ -51,4 +52,18 @@ def test_locally_rotated_classical_state_has_no_discord(n_qubits):
         u = np.kron(u, random_unitary(rng, 2))
     classical = np.diag(rng.dirichlet(np.ones(2**n_qubits)))
     state = DensityMatrix((2,) * n_qubits, u @ classical @ u.conj().T)
+    assert closest_classical(state).discord <= 1e-6
+
+
+@pytest.mark.parametrize("n_qubits, seed", [(2, 0), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2)])
+def test_classical_state_near_the_pole_has_no_discord(n_qubits, seed):
+    # Qubit 0's optimal axis sits 0.04 rad from the computational one, where a
+    # (theta, phi) chart is singular: its phi direction goes flat and a
+    # refinement there stops short of the minimum.
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(2**n_qubits))
+    u = qubit_unitary(0.02, np.pi / 2)
+    for _ in range(n_qubits - 1):
+        u = np.kron(u, random_unitary(rng, 2))
+    state = DensityMatrix((2,) * n_qubits, u @ np.diag(weights) @ u.conj().T)
     assert closest_classical(state).discord <= 1e-6

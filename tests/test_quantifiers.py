@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PAULIS,
+    bloch_axes,
     oracle_min_dephased_entropy,
     random_angle_pairs,
     random_product_basis,
@@ -17,8 +19,10 @@ from hookup import (
     DensityMatrix,
     NotAllQubits,
     OptimizerConfig,
+    ProductBasis,
     TooManyQubits,
     basis_from_angles,
+    canonical_angles,
     classical_correlations,
     closest_classical,
     coherence,
@@ -33,6 +37,7 @@ from hookup import (
     minimize_over_product_bases,
     multipartite_coherence,
     preset,
+    qubit_unitary,
     total_correlations,
     von_neumann_entropy,
 )
@@ -331,28 +336,47 @@ class TestScaling:
             closest_classical(state)
 
 
+def unit(vectors):
+    return vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)
+
+
+def axes_basis(axes) -> ProductBasis:
+    """Product basis whose qubit-q vectors are the eigenvectors of n_q . sigma."""
+    return ProductBasis(tuple(np.linalg.eigh(np.tensordot(n, PAULIS, 1))[1] for n in axes))
+
+
+def grid_options(points):
+    """The (K, 3) Bloch axes of the theta-major ``angle_axes`` grid."""
+    from hookup.search import angle_axes
+
+    return bloch_axes(*np.meshgrid(*angle_axes(points), indexing="ij")).reshape(-1, 3)
+
+
 def looped_batch(objective, n_qubits):
     """Coarse-grid evaluator that calls a scalar objective once per cell.
 
-    Cells follow the layout ``minimize_over_product_bases`` documents:
-    theta-major (theta, phi) options per qubit, qubit 0 most significant.
+    Cells follow the layout ``minimize_over_product_bases`` documents: one
+    (K, 3) option axis stack per qubit, qubit 0 most significant.
     """
 
-    def batch(thetas, phis):
-        options = [(t, p) for t in thetas for p in phis]
+    def batch(options):
         cells = itertools.product(options, repeat=n_qubits)
-        return np.array([objective(np.array(cell).ravel()) for cell in cells])
+        return np.array([objective(np.array(cell)) for cell in cells])
 
     return batch
 
 
 def with_fd_gradient(objective, h=1e-6):
-    """The ``(value, gradient)`` form of a scalar objective, by central differences."""
+    """The ``(value, gradient)`` form of a scalar objective of unit axes.
 
-    def value_and_gradient(vector):
-        steps = h * np.eye(len(vector))
-        grad = [(objective(vector + e) - objective(vector - e)) / (2 * h) for e in steps]
-        return objective(vector), np.array(grad)
+    The gradient is by central differences of the objective at the
+    renormalised displaced axes.
+    """
+
+    def value_and_gradient(axes):
+        steps = h * np.eye(axes.size).reshape((-1,) + axes.shape)
+        grad = [(objective(unit(axes + e)) - objective(unit(axes - e))) / (2 * h) for e in steps]
+        return objective(axes), np.reshape(grad, axes.shape)
 
     return value_and_gradient
 
@@ -378,7 +402,7 @@ def recorded_objectives(monkeypatch, state):
 
 class TestMinimizeOverProductBases:
     def test_constant_objective(self):
-        def objective(vector):
+        def objective(axes):
             return 1.25
 
         result = minimize_over_product_bases(
@@ -389,9 +413,8 @@ class TestMinimizeOverProductBases:
     def test_bell_dephased_entropy(self):
         bell = preset("bell")
 
-        def objective(vector):
-            pairs = [(vector[0], vector[1]), (vector[2], vector[3])]
-            return von_neumann_entropy(dephase(bell, basis_from_angles(pairs)))
+        def objective(axes):
+            return von_neumann_entropy(dephase(bell, axes_basis(axes)))
 
         result = minimize_over_product_bases(
             with_fd_gradient(objective), 2, FAST, batch=looped_batch(objective, 2)
@@ -401,9 +424,8 @@ class TestMinimizeOverProductBases:
     def test_mdms_high_epsilon_argmin_is_x_basis(self):
         state = preset("mdms", epsilon=0.9)
 
-        def objective(vector):
-            pairs = [(vector[0], vector[1]), (vector[2], vector[3])]
-            return von_neumann_entropy(dephase(state, basis_from_angles(pairs)))
+        def objective(axes):
+            return von_neumann_entropy(dephase(state, axes_basis(axes)))
 
         result = minimize_over_product_bases(
             with_fd_gradient(objective),
@@ -442,14 +464,14 @@ class TestMinimizeOverProductBases:
         # 2-4 qubits and per-qubit candidate stacks of unequal length.  The
         # rank-1 GHZ states have zero dephased weights that the products return
         # slightly negative, so they also reach the clip before the logarithm.
-        from hookup.search import angle_axes, joint_dephased_entropies, qubit_basis_vectors
+        from hookup.search import angle_axes, joint_dephased_entropies, pauli_tensor
 
         rng = np.random.default_rng(12)
         n = len(points)
         state = preset("ghz", n=n) if pure else random_state(rng, (2,) * n)
         axes = [angle_axes(k) for k in points]
-        vecs = [qubit_basis_vectors(thetas, phis) for thetas, phis in axes]
-        grid = joint_dephased_entropies(state.matrix, state.dims, vecs)
+        options = [grid_options(k) for k in points]
+        grid = joint_dephased_entropies(pauli_tensor(state.matrix), options)
         assert grid.shape == tuple(k * k for k in points)
         assert np.all(np.isfinite(grid))
         cells = [tuple(c - 1 for c in grid.shape), (0,) * n]
@@ -467,8 +489,9 @@ class TestMinimizeOverProductBases:
         from hookup import search
 
         state = random_state(np.random.default_rng(14), (2, 2, 2))
-        vecs = [search.qubit_basis_vectors(*search.angle_axes(k)) for k in (5, 3, 3)]
-        whole = search.joint_dephased_entropies(state.matrix, state.dims, vecs)
+        pauli = search.pauli_tensor(state.matrix)
+        options = [grid_options(k) for k in (5, 3, 3)]
+        whole = search.joint_dephased_entropies(pauli, options)
 
         blocks = []
 
@@ -480,71 +503,63 @@ class TestMinimizeOverProductBases:
         # Room for 4 of the 25 first-qubit candidates per block: each takes
         # 2 outcomes x (9 x 2)^2 real weights of 8 bytes.
         monkeypatch.setattr(search, "_CHUNK_BYTES", 4 * 2 * 18**2 * 8)
-        chunked = search.joint_dephased_entropies(state.matrix, state.dims, vecs)
+        chunked = search.joint_dephased_entropies(pauli, options)
         assert blocks == [8] * 6 + [2]
         assert np.array_equal(chunked, whole)
 
     def test_grid_mapping_finds_isolated_cell(self):
         # An objective that is 0 only in a tiny ball around one exact grid
         # cell and 1 elsewhere: the coarse stage can only see it if the
-        # cell-to-angle mapping agrees with the documented batch layout.
+        # cell-to-axis mapping agrees with the documented batch layout.
         from hookup.search import angle_axes
 
         thetas, phis = angle_axes(5)
-        target = np.array([thetas[2], phis[1], thetas[1], phis[3]])
+        picks = [(thetas[2], phis[1]), (thetas[1], phis[3])]
+        target = np.array([bloch_axes(t, p) for t, p in picks])
 
-        def objective(vec):
-            return 0.0 if np.max(np.abs(vec - target)) < 1e-9 else 1.0
+        def objective(axes):
+            return 0.0 if np.max(np.abs(axes - target)) < 1e-9 else 1.0
 
         result = minimize_over_product_bases(
-            lambda vec: (objective(vec), np.zeros(4)),
+            lambda axes: (objective(axes), np.zeros((2, 3))),
             2,
             OptimizerConfig(grid_points=5, multistarts=2),
             batch=looped_batch(objective, 2),
         )
         assert result.value == 0.0
-        assert np.max(np.abs(result.angle_vector() - target)) < 1e-9
+        for got, (t, p) in zip(result.angles, picks):
+            want = canonical_angles(qubit_unitary(t, p))
+            assert max(abs(got.theta - want.theta), abs(got.phi - want.phi)) < 1e-9
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
-    def test_kernel_matches_reference_path(self, n_qubits):
-        # The refinement kernel builds no basis object and does not fold its
-        # angles; it must still give the dephased entropy of the folded basis,
-        # and the global-discord objective must give C_M in that basis.
-        from hookup.search import angle_factors, product_probs
-        from hookup.states import entropy_of_probs
-
+    def test_kernel_matches_reference_path(self, monkeypatch, n_qubits):
+        # The refinement objectives build no basis object and take any unit
+        # axis, either hemisphere; the D objective must still give the
+        # dephased entropy in that basis, and the G objective C_M there.
         rng = np.random.default_rng(20 + n_qubits)
         dims = (2,) * n_qubits
         for trial in range(6):
             state = random_state(rng, dims, rank=1 + trial % 4)
-            # theta in (-pi, pi) and phi in (-2 pi, 2 pi): well outside
-            # theta in [0, pi/2], phi in [0, 2 pi) on most draws.
-            thetas = rng.uniform(-math.pi, math.pi, n_qubits)
-            phis = rng.uniform(-2 * math.pi, 2 * math.pi, n_qubits)
-            vector = np.column_stack([thetas, phis]).ravel()
+            d_objective, g_objective = recorded_objectives(monkeypatch, state)
+            axes = unit(rng.normal(size=(n_qubits, 3)))
             if trial == 0:
-                vector[0], vector[1] = 2.0, -0.7  # theta > pi/2, negative phi
-            pairs = list(zip(vector[0::2], vector[1::2]))
-            basis = basis_from_angles(pairs)
-            u = angle_factors(vector)
+                axes[0] = -np.abs(axes[0])  # southern hemisphere, negative x and y
+            basis = axes_basis(axes)
 
-            kernel = entropy_of_probs(product_probs(state.matrix, u))
+            kernel = d_objective(axes)[0]
             reference = von_neumann_entropy(dephase(state, basis))
             assert abs(kernel - reference) <= 1e-12
 
-            g_kernel = kernel - sum(
-                entropy_of_probs(product_probs(state.marginal(q).matrix, u[q : q + 1]))
-                for q in range(n_qubits)
-            )
+            g_kernel = g_objective(axes)[0]
             g_kernel += sum(von_neumann_entropy(state.marginal(q)) for q in range(n_qubits))
             g_kernel -= von_neumann_entropy(state)
             assert abs(g_kernel - multipartite_coherence(state, basis)) <= 1e-12
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_gradient_matches_central_differences(self, monkeypatch, n_qubits):
-        # The D and G objectives return an analytic angle gradient; it must
-        # match central differences of their own values, at ranks 1 to full
-        # and at angles outside the fundamental ranges.
+        # The D and G objectives return an analytic axis gradient; along the
+        # sphere it must match central differences of their own values, at
+        # ranks 1 to full, along two great circles through each axis.
         rng = np.random.default_rng(30 + n_qubits)
         dims = (2,) * n_qubits
         h = 1e-5
@@ -552,37 +567,37 @@ class TestMinimizeOverProductBases:
             state = random_state(rng, dims, rank=rank)
             objectives = recorded_objectives(monkeypatch, state)
             assert len(objectives) == 2
-            thetas = rng.uniform(-math.pi, math.pi, n_qubits)
-            phis = rng.uniform(-2 * math.pi, 2 * math.pi, n_qubits)
-            vector = np.column_stack([thetas, phis]).ravel()
+            axes = unit(rng.normal(size=(n_qubits, 3)))
             for objective in objectives:
-                _, grad = objective(vector)
-                steps = h * np.eye(2 * n_qubits)
-                fd = np.array([objective(vector + e)[0] - objective(vector - e)[0] for e in steps])
-                assert np.max(np.abs(grad - fd / (2 * h))) <= 1e-6
+                _, grad = objective(axes)
+                for q in range(n_qubits):
+                    # Rows 1 and 2 of V^T span the tangent plane at axes[q].
+                    for t in np.linalg.svd(axes[q : q + 1])[2][1:]:
+                        ends = []
+                        for sign in (1, -1):
+                            moved = axes.copy()
+                            moved[q] = axes[q] * math.cos(h) + sign * t * math.sin(h)
+                            ends.append(objective(moved)[0])
+                        assert abs(grad[q] @ t - (ends[0] - ends[1]) / (2 * h)) <= 1e-6
 
     def test_bell_seeds_cover_distinct_bases(self, monkeypatch):
         # Every theta in {0, pi/2} is the computational basis, and Bell's grid
         # minimum is tied there on many cells; the starts must still go to
         # different bases, each seeded once.
         from hookup import search
-        from hookup.channels import canonical_angles
-        from hookup.linalg import qubit_unitary
+        from hookup.channels import axis_angles
 
         starts = []
 
         def recording(objective, x0, **kwargs):
-            starts.append(np.array(x0))
+            starts.append(np.reshape(x0, (-1, 3)))
             return scipy_minimize(objective, x0, **kwargs)
 
         scipy_minimize = search.minimize
         monkeypatch.setattr(search, "minimize", recording)
         closest_classical(preset("bell"))
         bases = {
-            tuple(
-                (round(a.theta, 9), round(a.phi, 9))
-                for a in (canonical_angles(qubit_unitary(t, p)) for t, p in zip(x[0::2], x[1::2]))
-            )
+            tuple((round(a.theta, 9), round(a.phi, 9)) for a in map(axis_angles, x))
             for x in starts
         }
         assert len(starts) == OptimizerConfig().multistarts
@@ -594,13 +609,6 @@ class TestMinimizeOverProductBases:
         state = preset("mdms", epsilon=0.672)
         computational = von_neumann_entropy(dephase(state)) - von_neumann_entropy(state)
         assert closest_classical(state).discord < computational - 1e-5
-
-    def test_kernel_rejects_non_finite_angles(self):
-        from hookup import NotUnitary
-        from hookup.search import angle_factors
-
-        with pytest.raises(NotUnitary):
-            angle_factors(np.array([0.3, 1.0, math.nan, 0.0]))
 
     def test_refined_never_above_grid_oracle(self):
         rng = np.random.default_rng(13)
