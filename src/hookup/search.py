@@ -5,30 +5,30 @@ tr(rho sigma_mu_0 x ... x sigma_mu_{n-1}) (sigma_0 = I, then X, Y, Z).  The
 weights dephased along one Bloch axis n_q per qubit are R contracted with the
 outcome rows [1/2, +-n_q/2] of each qubit, so they are multilinear in the
 axes.  One real contraction (``_tail``) serves the coarse grid
-(``joint_dephased_entropies``), which passes the rows of every grid option,
-and the refinement (``dephased_entropy``), which adds the rows [0, +-e_i/2] of
-the axis derivatives.  L-BFGS-B refines unnormalised Bloch vectors v (n =
-v/|v|, gradient projected onto the sphere), a chart with no singular point.
-The best refined or grid point wins, ties going to the smallest canonical
-angle norm (the computational basis wins exact ties); repeated runs with one
+(``joint_dephased_entropies``) on the rows of the distinct grid axes, and the
+refinement (``dephased_entropy``), which adds the rows [0, +-e_i/2] of the axis
+derivatives.  L-BFGS-B refines unnormalised Bloch vectors v (n = v/|v|,
+gradient projected onto the sphere), a chart with no singular point.  The best
+refined or grid point wins, ties going to the smallest canonical angle norm
+(the computational basis wins exact ties); repeated runs with one
 configuration are bit-identical.
 
 The grid holds at most ``_CHUNK_BYTES`` of its final, full-size product at a
 time.  Its values differ from a direct evaluation by ulps, and noise must not
 order exact ties at the grid minimum (Bell-state continua, classical states):
-seeding counts values within ``_SEED_TIE`` of the minimum as tied and takes
-them by cell index, so the computational basis (cell 0) is refined whenever it
-is tied.  Only the first grid option of each distinct basis seeds, so the
-starts leave the pole saddle.  Grid options are the Bloch axes (-sin 2theta cos
-phi, sin 2theta sin phi, cos 2theta) of the first column of ``qubit_unitary(theta,
-phi)`` over ``angle_axes``, theta-major (``option = i_theta * n_phi + i_phi``).
+seeding takes values within ``_SEED_TIE`` of the minimum first, by cell index,
+so the computational basis (cell 0) is refined whenever it is tied.  Grid
+options are the Bloch axes (-sin 2theta cos phi, sin 2theta sin phi, cos
+2theta) of ``qubit_unitary(theta, phi)``'s first column over ``angle_axes``,
+theta-major; only the first option of each distinct basis is kept, in order,
+so the grid holds one cell per distinct product basis and the starts leave the
+pole saddle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,6 +91,7 @@ class OptimizerResult:
     nfev: int
     grid_points: int
     requested_grid_points: int
+    grid_cells: int
 
     def meta(self) -> dict:
         return {
@@ -100,11 +101,12 @@ class OptimizerResult:
             "function_evals": self.nfev,
             "grid_points": self.grid_points,
             "requested_grid_points": self.requested_grid_points,
+            "grid_cells": self.grid_cells,
         }
 
 
 def effective_grid_points(requested: int, n_qubits: int) -> int:
-    """Largest point count <= requested whose full grid fits the cell budget.
+    """Largest point count <= requested whose pts^(2n) angle cells fit the budget.
 
     Shrinks in steps that keep odd counts odd, so the midpoint theta = pi/4
     stays on the grid.
@@ -235,14 +237,11 @@ def _first_options(options: np.ndarray) -> np.ndarray:
     """Mask of the grid options that are the first to give their basis.
 
     An option's basis is its projector axis pair {n, -n}, keyed by n n^T; so
-    every theta in {0, pi/2} gives option 0's basis, the computational one.
+    every theta in {0, pi/2} gives option 0's basis, the computational one, and
+    (pts - 2) * pts + 1 of the pts^2 options remain.
     """
     key = np.round(options[:, :, None] * options[:, None, :], 9).reshape(len(options), 9) + 0.0
     return np.isin(np.arange(len(options)), np.unique(key, axis=0, return_index=True)[1])
-
-
-def _canonical_pairs(axes: np.ndarray) -> tuple[QubitBasisAngles, ...]:
-    return tuple(axis_angles(a) for a in axes)
 
 
 def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:
@@ -266,32 +265,29 @@ def minimize_over_product_bases(
     ``objective(axes)`` takes unit axes, shape (n_qubits, 3), and returns
     ``(value, gradient)`` with the gradient in the same shape; only its part
     tangent to the sphere is used.  ``batch(options)`` evaluates the objective
-    on the full coarse grid from the (K, 3) grid option axes, one value per
-    cell with qubit 0 most significant (the layout of
-    ``joint_dephased_entropies``).  The best ``multistarts`` cells made of
-    first options of distinct bases seed L-BFGS-B refinements of ``objective``
-    over unnormalised Bloch vectors, and the best refined or seed value wins.
+    on the coarse grid from the (K, 3) distinct grid axes, the first option of
+    each basis with option 0 computational, one value per cell with qubit 0
+    most significant (the layout of ``joint_dephased_entropies``).  The best
+    ``multistarts`` cells seed L-BFGS-B refinements of ``objective`` over
+    unnormalised Bloch vectors, and the best refined or seed value wins.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
     options = _bloch_axes(*np.meshgrid(*angle_axes(pts), indexing="ij")).reshape(-1, 3)
+    options = options[_first_options(options)]
     values = np.asarray(batch(options), dtype=float).ravel()
 
-    # Only cells whose every option is the first of its basis may seed.
-    first = _first_options(options)
-    allowed = reduce(lambda a, b: np.logical_and.outer(a, b).ravel(), [first] * n_qubits)
-    seedable = np.where(allowed, values, np.inf)
     ncells = values.size
-    n_starts = min(cfg.multistarts, int(allowed.sum()))
+    n_starts = min(cfg.multistarts, ncells)
     # Cells within _SEED_TIE of the grid minimum are tied and go first, by cell
     # index, so the computational basis (cell 0) seeds every tie it is in.  The
     # rest follow in (value, index) order from a pool several times the start
     # count, so that their own exact ties are ordered by index as well.
-    low = seedable.min() + _SEED_TIE
+    low = values.min() + _SEED_TIE
     pool = min(ncells, max(8 * n_starts, 64))
-    part = np.argpartition(seedable, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
-    part = part[(seedable[part] > low) & allowed[part]]
-    seeds = np.concatenate([np.flatnonzero(seedable <= low), part[np.lexsort((part, values[part]))]])
+    part = np.argpartition(values, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
+    part = part[values[part] > low]
+    seeds = np.concatenate([np.flatnonzero(values <= low), part[np.lexsort((part, values[part]))]])
     seeds = seeds[:n_starts]
 
     def on_sphere(x):
@@ -324,15 +320,16 @@ def minimize_over_product_bases(
 
     best_value = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= best_value + 1e-9]
-    keyed = sorted(tied, key=lambda c: _tie_key(_canonical_pairs(c[1])))
+    keyed = sorted(tied, key=lambda c: _tie_key(tuple(map(axis_angles, c[1]))))
     value, axes, success, _ = keyed[0]
 
     return OptimizerResult(
-        angles=_canonical_pairs(axes),
+        angles=tuple(map(axis_angles, axes)),
         value=value,
         converged=success,
         starts=n_starts,
         nfev=nfev,
         grid_points=pts,
         requested_grid_points=cfg.grid_points,
+        grid_cells=ncells,
     )

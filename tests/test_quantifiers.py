@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -325,6 +326,13 @@ class TestScaling:
         assert meta["requested_grid_points"] == 17
         assert meta["grid_points"] == 13
 
+    def test_meta_counts_distinct_grid_cells(self):
+        # (pts - 2) * pts + 1 distinct axes per qubit: 256 at 17 points, 64 at 9.
+        meta = full_report(preset("paper-example")).optimizer_meta
+        assert meta["chi"]["grid_cells"] == meta["global"]["grid_cells"] == 256**2
+        meta = closest_classical(preset("w-mixture"), FAST).optimizer.meta()
+        assert meta["grid_cells"] == 64**3
+
     def test_six_qubit_fixed_basis(self):
         # Dimension-64 boundary: pure GHZ has T = n, C = 1, K = n - 1, M = n.
         state = preset("ghz", n=6)
@@ -435,6 +443,50 @@ class TestMinimizeOverProductBases:
         )
         for a in result.angles:
             assert abs(a.theta - math.pi / 4) <= 0.02
+
+    @pytest.mark.parametrize("points", [3, 5, 7, 9, 13, 17])
+    def test_batch_receives_one_axis_per_distinct_basis(self, points):
+        # The grid drops every option whose basis an earlier option already
+        # gives: all theta in {0, pi/2} are the computational basis.
+        received = []
+
+        def batch(options):
+            received.append(options)
+            return np.zeros(len(options) ** 2)
+
+        cfg = OptimizerConfig(grid_points=points, multistarts=1, max_iter=1)
+        minimize_over_product_bases(lambda axes: (0.0, np.zeros((2, 3))), 2, cfg, batch=batch)
+        (rows,) = received
+        assert rows.shape == ((points - 2) * points + 1, 3)
+        assert np.array_equal(rows[0], [0.0, 0.0, 1.0])
+        # Two unit axes give one basis exactly when n = +-m, i.e. |n . m| = 1.
+        overlaps = np.abs(rows @ rows.T)
+        assert np.all(overlaps[~np.eye(len(rows), dtype=bool)] < 1 - 1e-9)
+        assert np.all(np.abs(grid_options(points) @ rows.T).max(axis=1) > 1 - 1e-12)
+
+    @pytest.mark.parametrize(
+        "name, params, points",
+        [("w-mixture", {}, 9), ("ghz", {"n": 4}, 5)],
+        ids=["w-mixture", "ghz4"],
+    )
+    def test_distinct_grid_keeps_full_grid_minimum(self, name, params, points):
+        # Dropping repeated bases must not lose the coarse grid's minimum.
+        from hookup.search import dephased_entropy, joint_dephased_entropies, pauli_tensor
+
+        state = preset(name, **params)
+        n = state.n_parts
+        pauli = pauli_tensor(state.matrix)
+        distinct = []
+
+        def batch(options):
+            distinct.append(joint_dephased_entropies(pauli, [options] * n))
+            return distinct[-1]
+
+        cfg = OptimizerConfig(grid_points=points, multistarts=1)
+        minimize_over_product_bases(partial(dephased_entropy, pauli), n, cfg, batch=batch)
+        full = joint_dephased_entropies(pauli, [grid_options(points)] * n)
+        assert distinct[0].size < full.size
+        assert abs(distinct[0].min() - full.min()) <= 1e-12
 
     def test_batch_is_required(self):
         with pytest.raises(TypeError):
@@ -609,6 +661,21 @@ class TestMinimizeOverProductBases:
         state = preset("mdms", epsilon=0.672)
         computational = von_neumann_entropy(dephase(state)) - von_neumann_entropy(state)
         assert closest_classical(state).discord < computational - 1e-5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known wrong minimum just below eps'': all starts sit on the "
+        "Rz(phi) x Rz(-phi) orbit of the x basis; seeding distinct basins "
+        "(ROADMAP.md Direction 1) mends it",
+    )
+    def test_mdms_just_below_eps_double_prime_leaves_x_basis(self):
+        # At eps = 0.761 the x basis is a stationary point of the dephased
+        # entropy, but a joint turn of both polar angles (theta_1 = theta_2
+        # near 0.726) lies about 3.5e-6 lower.
+        state = preset("mdms", epsilon=0.761)
+        x_basis = basis_from_angles([(math.pi / 4, 0.0)] * 2)
+        x_value = von_neumann_entropy(dephase(state, x_basis)) - von_neumann_entropy(state)
+        assert closest_classical(state).discord < x_value - 1e-6
 
     def test_refined_never_above_grid_oracle(self):
         rng = np.random.default_rng(13)
