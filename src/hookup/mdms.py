@@ -7,6 +7,10 @@ rotation.  Two epsilon thresholds structure its closest-classical basis: below
 the x basis, with a continuously rotating optimum in between.  At ``phi = 0``
 the rotation is a real O x O, which leaves Phi+ invariant; so on the
 (theta, epsilon) sweep K >= J for eps <= eps', with K = J at theta = 0.
+
+The drivers read the entropy ledger of ``quantifiers``: S(rho) and S(rho_q)
+once per epsilon from the theta = 0 member, H(p) and H(p_q) from a stack of
+the rotated members' computational-basis weights p.
 """
 
 from __future__ import annotations
@@ -21,15 +25,13 @@ import numpy as np
 from .channels import ProductBasis, dephased_probs
 from .errors import BadParams, NoRootBracketed
 from .quantifiers import (
+    _dephased_entropies,
+    _fixed_basis_values,
+    _ledger,
     closest_classical,
-    coherence,
-    hookup,
-    irreducible_classical,
-    local_coherence,
-    total_correlations,
 )
 from .search import OptimizerConfig
-from .states import entropy_of_probs, mdms
+from .states import mdms
 
 SCAN_COLUMNS = ("T", "C", "C_L", "C_M", "K", "M", "D", "J", "L")
 CSV_HEADER = ("theta", "epsilon") + SCAN_COLUMNS
@@ -51,6 +53,22 @@ class ScanTable:
                 raise BadParams(f"column {name} has shape {values.shape}, expected {(nt, ne)}")
 
 
+def _dephased_row(eps: float, thetas: np.ndarray):
+    """H(p) and sum_q H(p_q) of ``mdms(eps, theta, 0)`` per theta, computational basis."""
+    probs = np.array([dephased_probs(mdms(eps, float(t), 0.0)) for t in thetas])
+    return _dephased_entropies(probs, (2, 2))
+
+
+def _row_values(eps: float, thetas: np.ndarray) -> dict:
+    """T, C, C_L, C_M, K and M of ``mdms(eps, theta, 0)`` along ``thetas``.
+
+    S(rho) and sum_q S(rho_q) come once from the theta = 0 member, since the
+    rotation is a local unitary; each theta adds only its dephased weights.
+    """
+    s, s_q = _ledger(mdms(eps, 0.0, 0.0))[:2]
+    return _fixed_basis_values(s, s_q, *_dephased_row(eps, thetas))
+
+
 def _switch_angle(basis: ProductBasis) -> float:
     """Largest canonical polar angle among the basis factors, in [0, pi/4]."""
     assert basis.angles is not None
@@ -67,10 +85,11 @@ def scan_mdms(
 
     Quantifiers are evaluated in the computational basis, so the coherence
     family and K vary along theta.  The member at theta is the theta = 0
-    member under a local unitary, which leaves T, D, J and L invariant; so
-    each epsilon row runs one basis search at theta = 0 and shares its T, D,
-    J and L across the row.  The tests check that invariance against
-    independent searches on rotated members.
+    member under a local unitary, which leaves S(rho), S(rho_q), T, D, J and
+    L invariant; so each epsilon row runs one basis search and one set of
+    eigendecompositions at theta = 0 and shares them across the row, and each
+    theta adds only the entropies of its dephased weights.  The tests check
+    that invariance against independent evaluations of rotated members.
     """
     if theta_points < 2 or epsilon_points < 2:
         raise BadParams("grid sizes must be at least 2")
@@ -82,21 +101,12 @@ def scan_mdms(
     cols = {name: np.empty((theta_points, epsilon_points)) for name in SCAN_COLUMNS}
 
     for je, eps in enumerate(epsilons):
-        base = mdms(float(eps), 0.0, 0.0)
-        cc = closest_classical(base, cfg)
-        cols["T"][:, je] = total_correlations(base)
+        cc = closest_classical(mdms(float(eps), 0.0, 0.0), cfg)
+        for name, values in _row_values(float(eps), thetas).items():
+            cols[name][:, je] = values
         cols["D"][:, je] = cc.discord
         cols["J"][:, je] = cc.classical_correlations
         cols["L"][:, je] = cc.excess
-        for jt, theta in enumerate(thetas):
-            state = mdms(float(eps), float(theta), 0.0)
-            c = coherence(state)
-            c_l = local_coherence(state)
-            cols["C"][jt, je] = c
-            cols["C_L"][jt, je] = c_l
-            cols["C_M"][jt, je] = c - c_l
-            cols["K"][jt, je] = irreducible_classical(state)
-            cols["M"][jt, je] = hookup(state)
 
     provenance = (
         f"hookup scan-mdms version={_package_version()}",
@@ -126,40 +136,6 @@ def scan_to_csv(table: ScanTable) -> str:
             row += [f"{table.columns[name][jt, je]:.17g}" for name in SCAN_COLUMNS]
             buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-def scan_from_csv(text: str) -> ScanTable:
-    """Parse a CSV produced by ``scan_to_csv`` (bit-exact round trip)."""
-    provenance = []
-    rows = []
-    header = None
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            provenance.append(line[1:].strip())
-            continue
-        if header is None:
-            header = tuple(line.split(","))
-            if header != CSV_HEADER:
-                raise BadParams(f"unexpected CSV header {header}")
-            continue
-        rows.append([float(x) for x in line.split(",")])
-    if header is None or not rows:
-        raise BadParams("CSV carries no data rows")
-    data = np.array(rows)
-    thetas = np.unique(data[:, 0])
-    epsilons = np.unique(data[:, 1])
-    nt, ne = len(thetas), len(epsilons)
-    if nt * ne != len(rows):
-        raise BadParams("CSV grid is not rectangular")
-    # Rows are theta-major; rely on emission order rather than re-sorting values.
-    thetas = data[::ne, 0]
-    epsilons = data[:ne, 1]
-    cols = {}
-    for idx, name in enumerate(SCAN_COLUMNS):
-        cols[name] = data[:, 2 + idx].reshape(nt, ne)
-    return ScanTable(thetas=thetas, epsilons=epsilons, columns=cols, provenance=tuple(provenance))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +198,10 @@ def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) 
     return 0.5 * (lo + hi)
 
 
-def _dephased_entropy(eps: float, theta: float) -> float:
-    """Entropy of the computational-basis dephasing of the rotated member."""
-    return entropy_of_probs(dephased_probs(mdms(eps, theta, 0.0)))
-
-
 def _angle_curvature(eps: float, theta0: float, step: float = 1e-4) -> float:
     """Central second difference in theta of the dephased-state entropy."""
-    s_minus = _dephased_entropy(eps, theta0 - step)
-    s_mid = _dephased_entropy(eps, theta0)
-    s_plus = _dephased_entropy(eps, theta0 + step)
-    return (s_plus - 2 * s_mid + s_minus) / step**2
+    h = _dephased_row(eps, np.array([theta0 - step, theta0, theta0 + step]))[0]
+    return (h[2] - 2 * h[1] + h[0]) / step**2
 
 
 def find_thresholds(
@@ -351,9 +320,7 @@ def compare_jk(
         if not 0.0 < eps < 1.0:
             raise BadParams(f"epsilon values must lie in (0, 1), got {eps}")
         j = closest_classical(mdms(eps, 0.0, 0.0), cfg).classical_correlations
-        gaps = np.array(
-            [irreducible_classical(mdms(eps, float(t), 0.0)) - j for t in thetas]
-        )
+        gaps = _row_values(eps, thetas)["K"] - j
         rows.append(
             {
                 "epsilon": eps,

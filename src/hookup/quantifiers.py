@@ -2,9 +2,11 @@
 
 Fixed-basis quantities (total correlations, coherence and its local and
 multipartite parts, irreducible classical information, hookup) work for any
-subsystem dimensions.  The optimized quantities (discord, classical
-correlations, the excess term, global discord) search over qubit product
-bases and are capped at four qubits.
+subsystem dimensions.  All six come from one entropy ledger of four entries:
+S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), where p holds the state's
+weights in the reference product basis and p_q its marginals (``_ledger``).
+The optimized quantities (discord, classical correlations, the excess term,
+global discord) search over qubit product bases and are capped at four qubits.
 """
 
 from __future__ import annotations
@@ -51,34 +53,60 @@ EXCESS_CROSS_TOL = 1e-7
 # ---------------------------------------------------------------------------
 
 
+def _dephased_entropies(probs: np.ndarray, dims: tuple[int, ...]):
+    """H(p) and sum_q H(p_q) over the last axis of ``probs``, one per leading index.
+
+    ``probs`` holds a state's weights in a product basis, so the weights p_q
+    of marginal q in its own factor are p summed over the other subsystems.
+    """
+    p = probs.reshape(probs.shape[:-1] + dims)
+    axes = range(probs.ndim - 1, p.ndim)
+    h_q = sum(entropy_of_probs(p.sum(axis=tuple(k for k in axes if k != q))) for q in axes)
+    return entropy_of_probs(probs), h_q
+
+
+def _ledger(state: DensityMatrix, basis: ProductBasis | None = None) -> tuple:
+    """S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), p = dephased_probs(state, basis).
+
+    The first two entries are the ones no local unitary changes.
+    """
+    s_q = sum(von_neumann_entropy(state.marginal(q)) for q in range(state.n_parts))
+    h, h_q = _dephased_entropies(dephased_probs(state, basis), state.dims)
+    return von_neumann_entropy(state), s_q, h, h_q
+
+
+def _fixed_basis_values(s, s_q, h, h_q) -> dict:
+    """T, C, C_L, C_M, K and M by label from the ledger entries, arrays allowed.
+
+    M = T + C_L = C + K holds term by term.
+    """
+    c, c_l = h - s, h_q - s_q
+    return {"T": s_q - s, "C": c, "C_L": c_l, "C_M": c - c_l, "K": h_q - h, "M": h_q - s}
+
+
 def total_correlations(state: DensityMatrix) -> float:
-    """Mutual information: entropy of the marginal product minus the state's."""
-    return von_neumann_entropy(marginal_product(state)) - von_neumann_entropy(state)
+    """Mutual information: the marginal entropies minus the state's."""
+    return _fixed_basis_values(*_ledger(state))["T"]
 
 
 def coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Entropy gained by dephasing in the reference basis."""
-    return entropy_of_probs(dephased_probs(state, basis)) - von_neumann_entropy(state)
+    return _fixed_basis_values(*_ledger(state, basis))["C"]
 
 
 def local_coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Sum of the single-subsystem coherences in the reference basis."""
-    total = 0.0
-    for q in range(state.n_parts):
-        marginal = state.marginal(q)
-        part = None if basis is None else ProductBasis((basis.factors[q],))
-        total += coherence(marginal, part)
-    return total
+    return _fixed_basis_values(*_ledger(state, basis))["C_L"]
 
 
 def multipartite_coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Coherence beyond what the marginals carry; never negative."""
-    return coherence(state, basis) - local_coherence(state, basis)
+    return _fixed_basis_values(*_ledger(state, basis))["C_M"]
 
 
 def irreducible_classical(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Mutual information that survives full dephasing."""
-    return total_correlations(dephase(state, basis))
+    return _fixed_basis_values(*_ledger(state, basis))["K"]
 
 
 def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
@@ -87,8 +115,7 @@ def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     Equals total correlations plus local coherence, and equally coherence plus
     irreducible classical information.
     """
-    closest = dephase(marginal_product(state), basis)
-    return von_neumann_entropy(closest) - von_neumann_entropy(state)
+    return _fixed_basis_values(*_ledger(state, basis))["M"]
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +365,20 @@ def full_report(
     """Compute every available quantifier of ``state`` in ``basis``.
 
     Optimizer-based fields are filled only for systems of at most four qubits;
-    otherwise they are ``None`` with the reason recorded.  Decomposition
-    identities are evaluated and reported as residuals; a residual above 1e-8
-    sets ``numerical_warning`` instead of failing.
+    otherwise they are ``None`` with the reason recorded.  The ledger makes
+    M = T + C_L = C + K term by term, so the residuals compare the
+    relative-entropy definition S(rho || Delta(pi(rho))) of M with T + C_L and
+    with C + K, and the excess with its cross form; a residual above 1e-8 sets
+    ``numerical_warning`` instead of failing.
     """
     cfg = cfg or OptimizerConfig()
     ref = basis if basis is not None else computational_basis(state.dims)
 
-    t = total_correlations(state)
-    c = coherence(state, ref)
-    c_l = local_coherence(state, ref)
-    c_m = c - c_l
-    k = irreducible_classical(state, ref)
-    m = hookup(state, ref)
-
+    fixed = _fixed_basis_values(*_ledger(state, ref))
+    m = relative_entropy(state, dephase(marginal_product(state), ref))
     residuals = {
-        "hookup_vs_T_plus_CL": abs(m - t - c_l),
-        "hookup_vs_C_plus_K": abs(m - c - k),
+        "hookup_vs_T_plus_CL": abs(m - fixed["T"] - fixed["C_L"]),
+        "hookup_vs_C_plus_K": abs(m - fixed["C"] - fixed["K"]),
     }
 
     d_val = j_val = l_val = g_val = None
@@ -383,12 +407,12 @@ def full_report(
     return QuantifierReport(
         dims=state.dims,
         reference_basis=ref,
-        total_correlations=t,
-        coherence=c,
-        local_coherence=c_l,
-        multipartite_coherence=c_m,
-        irreducible_classical=k,
-        hookup=m,
+        total_correlations=fixed["T"],
+        coherence=fixed["C"],
+        local_coherence=fixed["C_L"],
+        multipartite_coherence=fixed["C_M"],
+        irreducible_classical=fixed["K"],
+        hookup=fixed["M"],
         discord=d_val,
         classical_correlations=j_val,
         excess=l_val,

@@ -281,12 +281,13 @@ def minimize_over_product_bases(
     n_starts = min(cfg.multistarts, ncells)
     # Cells within _SEED_TIE of the grid minimum are tied and go first, by cell
     # index, so the computational basis (cell 0) seeds every tie it is in.  The
-    # rest follow in (value, index) order from a pool several times the start
-    # count, so that their own exact ties are ordered by index as well.
+    # rest follow in (value, index) order from every cell up to the pool-th
+    # smallest value, a pool several times the start count; whole tie classes
+    # enter, so their own exact ties are ordered by index whatever the layout.
     low = values.min() + _SEED_TIE
     pool = min(ncells, max(8 * n_starts, 64))
-    part = np.argpartition(values, pool - 1)[:pool] if pool < ncells else np.arange(ncells)
-    part = part[values[part] > low]
+    cut = np.partition(values, pool - 1)[pool - 1]
+    part = np.flatnonzero((values > low) & (values <= cut))
     seeds = np.concatenate([np.flatnonzero(values <= low), part[np.lexsort((part, values[part]))]])
     seeds = seeds[:n_starts]
 

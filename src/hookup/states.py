@@ -125,13 +125,17 @@ def require_valid(state: DensityMatrix) -> DensityMatrix:
     return state
 
 
-def entropy_of_probs(p: np.ndarray) -> float:
-    """Shannon entropy in bits with 0 log 0 = 0; clips eigensolver-scale negatives."""
+def entropy_of_probs(p: np.ndarray):
+    """Shannon entropy in bits over the last axis, with 0 log 0 = 0.
+
+    Clips eigensolver-scale negatives; a stack of vectors gives an array.
+    """
     p = np.asarray(p, dtype=float)
     if p.size and float(p.min()) < -MIN_EIG_TOL:
         raise ValidationError(f"probability {p.min():.3e} below -{MIN_EIG_TOL:.0e}")
     p = np.clip(p, 0.0, None)
-    return float(-xlogy(p, p).sum() / _LN2)
+    h = -xlogy(p, p).sum(axis=-1) / _LN2
+    return float(h) if h.ndim == 0 else h
 
 
 def von_neumann_entropy(state: DensityMatrix) -> float:
@@ -324,6 +328,8 @@ def load(text: str) -> DensityMatrix:
         raise ParseError("top-level value must be an object")
 
     if "preset" in doc:
+        if not isinstance(doc["preset"], str):
+            raise ParseError("preset must be a string naming a preset", field="preset")
         params = {k: v for k, v in doc.items() if k != "preset"}
         return require_valid(preset(doc["preset"], **params))
 

@@ -5,7 +5,6 @@ import pytest
 
 from hookup import DensityMatrix, save
 from hookup.cli import main
-from hookup.mdms import scan_from_csv
 
 
 def run(capsys, *argv):
@@ -95,6 +94,15 @@ class TestCompute:
         assert code == 2
         assert "non-finite" in err
         assert "Traceback" not in err
+        assert out == ""
+
+    def test_non_string_preset_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps({"preset": ["bell"]}))
+        code, out, err = run(capsys, "compute", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "preset" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -194,8 +202,10 @@ class TestScan:
             str(out_path),
         )
         assert code == 0
-        table = scan_from_csv(out_path.read_text())
-        assert table.columns["K"].shape == (5, 5)
+        lines = [ln for ln in out_path.read_text().splitlines() if not ln.startswith("#")]
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+        assert lines[0].split(",")[6] == "K"
+        assert rows.shape == (5 * 5, 11)
 
     def test_byte_identical_runs(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]

@@ -655,6 +655,43 @@ class TestMinimizeOverProductBases:
         assert len(starts) == OptimizerConfig().multistarts
         assert len(bases) == len(starts)
 
+    def test_seed_pool_orders_exact_ties_by_index(self, monkeypatch):
+        # Cell 0 is the grid minimum and 68 scattered cells tie exactly at the
+        # second-lowest value, more than the argpartition pool holds beyond
+        # the start count; whatever the layout, the starts after cell 0 must
+        # be the lowest-index tied cells, in index order.
+        from hookup import search
+
+        starts = []
+
+        def recording(objective, x0, **kwargs):
+            starts.append(np.array(x0))
+            return scipy_minimize(objective, x0, **kwargs)
+
+        scipy_minimize = search.minimize
+        monkeypatch.setattr(search, "minimize", recording)
+        cfg = OptimizerConfig()
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            values = 2.0 + rng.random(256**2)
+            values[0] = 0.0
+            tied = np.sort(rng.choice(np.arange(1, values.size), 68, replace=False))
+            values[tied] = 1.0
+            seen = []
+
+            def batch(options):
+                seen.append(options)
+                return values.reshape(len(options), len(options))
+
+            starts.clear()
+            minimize_over_product_bases(
+                lambda axes: (0.0, np.zeros_like(axes)), 2, cfg, batch=batch
+            )
+            assert seen[0].shape == (256, 3)
+            cells = [0, *tied[: cfg.multistarts - 1]]
+            expected = [seen[0][list(np.unravel_index(c, (256, 256)))].ravel() for c in cells]
+            assert np.array_equal(np.array(starts), np.array(expected)), seed
+
     def test_mdms_just_above_eps_prime_leaves_computational_saddle(self):
         # At eps = 0.672 the computational basis is a saddle of the dephased
         # entropy: only a joint move of both polar angles lowers it.
