@@ -27,7 +27,7 @@ from .errors import BadParams, NoRootBracketed
 from .quantifiers import (
     _dephased_entropies,
     _fixed_basis_values,
-    _ledger,
+    _state_entropies,
     closest_classical,
 )
 from .search import OptimizerConfig
@@ -65,7 +65,7 @@ def _row_values(eps: float, thetas: np.ndarray) -> dict:
     S(rho) and sum_q S(rho_q) come once from the theta = 0 member, since the
     rotation is a local unitary; each theta adds only its dephased weights.
     """
-    s, s_q = _ledger(mdms(eps, 0.0, 0.0))[:2]
+    s, s_q = _state_entropies(mdms(eps, 0.0, 0.0))
     return _fixed_basis_values(s, s_q, *_dephased_row(eps, thetas))
 
 

@@ -65,14 +65,15 @@ def _dephased_entropies(probs: np.ndarray, dims: tuple[int, ...]):
     return entropy_of_probs(probs), h_q
 
 
-def _ledger(state: DensityMatrix, basis: ProductBasis | None = None) -> tuple:
-    """S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), p = dephased_probs(state, basis).
-
-    The first two entries are the ones no local unitary changes.
-    """
+def _state_entropies(state: DensityMatrix) -> tuple[float, float]:
+    """S(rho) and sum_q S(rho_q): the ledger entries no local unitary changes."""
     s_q = sum(von_neumann_entropy(state.marginal(q)) for q in range(state.n_parts))
-    h, h_q = _dephased_entropies(dephased_probs(state, basis), state.dims)
-    return von_neumann_entropy(state), s_q, h, h_q
+    return von_neumann_entropy(state), s_q
+
+
+def _ledger(state: DensityMatrix, basis: ProductBasis | None = None) -> tuple:
+    """S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), p = dephased_probs(state, basis)."""
+    return _state_entropies(state) + _dephased_entropies(dephased_probs(state, basis), state.dims)
 
 
 def _fixed_basis_values(s, s_q, h, h_q) -> dict:
@@ -86,7 +87,8 @@ def _fixed_basis_values(s, s_q, h, h_q) -> dict:
 
 def total_correlations(state: DensityMatrix) -> float:
     """Mutual information: the marginal entropies minus the state's."""
-    return _fixed_basis_values(*_ledger(state))["T"]
+    s, s_q = _state_entropies(state)
+    return s_q - s
 
 
 def coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
@@ -294,10 +296,7 @@ class QuantifierReport:
     numerical_warning: bool = False
 
     def values(self) -> dict:
-        out = {}
-        for name in REPORT_LABELS:
-            out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in REPORT_LABELS}
 
     def to_dict(self) -> dict:
         def basis_angles(basis):
@@ -320,7 +319,7 @@ class QuantifierReport:
             "optimizer_available": self.optimizer_available,
             "unavailable_reason": self.unavailable_reason,
             "optimizer": self.optimizer_meta,
-            "residuals": self.residuals,
+            "residuals": {k: jsonable(v) for k, v in self.residuals.items()},
             "numerical_warning": self.numerical_warning,
         }
 
@@ -366,16 +365,18 @@ def full_report(
 
     Optimizer-based fields are filled only for systems of at most four qubits;
     otherwise they are ``None`` with the reason recorded.  The ledger makes
-    M = T + C_L = C + K term by term, so the residuals compare the
-    relative-entropy definition S(rho || Delta(pi(rho))) of M with T + C_L and
-    with C + K, and the excess with its cross form; a residual above 1e-8 sets
+    M = T + C_L = C + K term by term, so the residuals compare the hookup's
+    definition S(rho || Delta(pi(rho))) = S(Delta(pi(rho))) - S(rho), with
+    Delta(pi(rho)) built from the partial traces, with T + C_L and with C + K,
+    and the excess with its cross form; a residual above 1e-8 sets
     ``numerical_warning`` instead of failing.
     """
     cfg = cfg or OptimizerConfig()
     ref = basis if basis is not None else computational_basis(state.dims)
 
-    fixed = _fixed_basis_values(*_ledger(state, ref))
-    m = relative_entropy(state, dephase(marginal_product(state), ref))
+    s, *rest = _ledger(state, ref)
+    fixed = _fixed_basis_values(s, *rest)
+    m = von_neumann_entropy(dephase(marginal_product(state), ref)) - s
     residuals = {
         "hookup_vs_T_plus_CL": abs(m - fixed["T"] - fixed["C_L"]),
         "hookup_vs_C_plus_K": abs(m - fixed["C"] - fixed["K"]),

@@ -1,10 +1,14 @@
 """The entropy ledger behind the fixed-basis quantifiers and the family drivers."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from conftest import random_product_basis, random_state
 from hookup import (
+    DensityMatrix,
     OptimizerConfig,
     ProductBasis,
     coherence,
@@ -20,7 +24,7 @@ from hookup import (
 )
 from hookup import linalg
 from hookup.mdms import scan_mdms
-from hookup.states import mdms
+from hookup.states import load, mdms
 
 FAST = OptimizerConfig(grid_points=9, multistarts=4)
 
@@ -94,3 +98,27 @@ def test_scan_eigendecompositions_do_not_grow_with_theta(monkeypatch):
         scan_mdms(theta_points, 3, FAST)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "state",
+    [load(json.dumps({"preset": "diagonal", "probs": [0.999999, 0, 0, 1e-6]}))]
+    + [
+        DensityMatrix((2, 2), (1 - p) * np.diag([1.0, 0, 0, 0]) + p * np.eye(4) / 4)
+        for p in (1e-8, 1e-6, 1e-5)
+    ],
+)
+def test_residuals_finite_where_product_weights_are_tiny(state):
+    # Some product weight p_A * p_B is below 1e-10 on an outcome the state
+    # populates, so S(rho || Delta(pi(rho))) needs those weights resolved.
+    report = full_report(state, cfg=FAST)
+    assert max(report.residuals.values()) <= 1e-8
+    assert not report.numerical_warning
+    json.dumps(report.to_dict(), allow_nan=False)
+
+
+def test_infinite_residual_serialises_as_string():
+    report = full_report(DensityMatrix((2, 3), np.eye(6) / 6))
+    report = dataclasses.replace(report, residuals={"hookup_vs_C_plus_K": np.inf})
+    doc = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+    assert doc["residuals"] == {"hookup_vs_C_plus_K": "inf"}
