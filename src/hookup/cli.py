@@ -183,27 +183,20 @@ def _cmd_thresholds(args) -> int:
     return EXIT_OK
 
 
+_COMPARE_JK_COLUMNS = (
+    "epsilon", "J", "max_K_minus_J", "min_K_minus_J", "theta_at_max", "theta_at_min"
+)
+
+
 def _cmd_compare_jk(args) -> int:
     epsilons = _parse_floats("--epsilons", args.epsilons)
     rows = compare_jk(epsilons, theta_points=args.theta_points, cfg=_config(args))
     if args.format == "json":
         _emit(json.dumps(rows, indent=1), args.out)
     elif args.format == "csv":
-        lines = ["epsilon,J,max_K_minus_J,min_K_minus_J,theta_at_max,theta_at_min"]
+        lines = [",".join(_COMPARE_JK_COLUMNS)]
         for r in rows:
-            lines.append(
-                ",".join(
-                    f"{r[k]:.17g}"
-                    for k in (
-                        "epsilon",
-                        "J",
-                        "max_K_minus_J",
-                        "min_K_minus_J",
-                        "theta_at_max",
-                        "theta_at_min",
-                    )
-                )
-            )
+            lines.append(",".join(f"{r[k]:.17g}" for k in _COMPARE_JK_COLUMNS))
         _emit("\n".join(lines) + "\n", args.out)
     else:
         lines = [f"{'epsilon':>8} {'max K-J':>12} {'min K-J':>12}"]

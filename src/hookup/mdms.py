@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, partial
 from io import StringIO
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import ProductBasis, dephased_probs
+from .channels import dephased_probs
 from .errors import BadParams, NoRootBracketed
 from .quantifiers import (
     _dephased_entropies,
@@ -67,12 +68,6 @@ def _row_values(eps: float, thetas: np.ndarray) -> dict:
     """
     s, s_q = _state_entropies(mdms(eps, 0.0, 0.0))
     return _fixed_basis_values(s, s_q, *_dephased_row(eps, thetas))
-
-
-def _switch_angle(basis: ProductBasis) -> float:
-    """Largest canonical polar angle among the basis factors, in [0, pi/4]."""
-    assert basis.angles is not None
-    return max(a.theta for a in basis.angles)
 
 
 def scan_mdms(
@@ -163,39 +158,34 @@ class ThresholdResult:
 SWITCH_DELTA = 0.01  # rad; how far the argmin polar angle must move to count as switched
 
 
-def _bisect_predicate(
-    predicate: Callable[[float], bool], lo: float, hi: float, tol: float
-) -> float:
-    """First point where a monotone predicate flips False -> True."""
-    if predicate(lo) or not predicate(hi):
-        raise NoRootBracketed(f"predicate does not flip on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+def _first_root(f: Callable[[float], float], tol: float) -> tuple[float, tuple[float, float]]:
+    """First sign change of ``f`` on the epsilon grid, bisected to ``tol``.
 
-
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
+    Returns the root and the grid cell that brackets it.  A zero at the low
+    end of a cell does not count as a flip; a zero at its high end is the root.
+    """
+    grid = np.linspace(0.05, 0.99, 20)
+    lo, flo = float(grid[0]), f(float(grid[0]))
+    for hi in map(float, grid[1:]):
+        fhi = f(hi)
+        if np.sign(fhi) != np.sign(flo) and flo != 0.0:
+            break
+        lo, flo = hi, fhi
+    else:
+        raise NoRootBracketed("no sign change on (0, 1)")
+    bracket = (lo, hi)
     if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise NoRootBracketed(f"no sign change on [{lo}, {hi}]")
+        return hi, bracket
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
-            return mid
+            return mid, bracket
         if np.sign(fmid) == np.sign(flo):
             lo, flo = mid, fmid
         else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+            hi = mid
+    return 0.5 * (lo + hi), bracket
 
 
 def _angle_curvature(eps: float, theta0: float, step: float = 1e-4) -> float:
@@ -211,88 +201,54 @@ def find_thresholds(
 ) -> ThresholdResult:
     """Locate both epsilon thresholds of the family.
 
-    ``basis-switch`` bisects on the argmin basis of the unrotated member: the
-    first epsilon where it departs from computational gives eps', the first
-    where it reaches the x basis gives eps''.  ``derivative`` bisects the sign
-    of the second angle-derivative of the dephased-state entropy evaluated at
-    the two boundary angles (a stationary direction in each regime), which
-    changes exactly where each basis stops being a local optimum.
+    Both methods find the first sign change of a signed function of epsilon
+    on one grid and bisect it.  ``basis-switch`` reads the largest polar
+    angle of the unrotated member's argmin basis: eps' is where it first
+    exceeds ``SWITCH_DELTA`` (the basis departs from computational), eps''
+    where it first exceeds pi/4 - ``SWITCH_DELTA`` (it reaches the x basis).
+    ``derivative`` takes the second angle-derivative of the dephased-state
+    entropy at the two boundary angles (a stationary direction in each
+    regime), which changes sign exactly where each basis stops being a local
+    optimum.
     """
     cfg = cfg or OptimizerConfig()
     if method == "basis-switch":
-        # Both predicates read the same argmin, and bisection revisits its
-        # bracket ends, so each epsilon is searched once.
-        angles: dict[float, float] = {}
-
+        # Both thresholds scan the same epsilon grid, so each grid point's
+        # argmin is searched once and shared.
+        @cache
         def switch_angle(eps: float) -> float:
-            if eps not in angles:
-                angles[eps] = _switch_angle(closest_classical(mdms(eps, 0.0, 0.0), cfg).basis)
-            return angles[eps]
+            basis = closest_classical(mdms(eps, 0.0, 0.0), cfg).basis
+            return max(a.theta for a in basis.angles)
 
-        def switched(eps: float) -> bool:
-            return switch_angle(eps) > SWITCH_DELTA
+        def first(eps: float) -> float:
+            return switch_angle(eps) - SWITCH_DELTA
 
-        def at_x_basis(eps: float) -> bool:
-            return switch_angle(eps) > math.pi / 4 - SWITCH_DELTA
+        def second(eps: float) -> float:
+            return switch_angle(eps) - (math.pi / 4 - SWITCH_DELTA)
 
-        lo1, hi1 = _bracket_predicate(switched)
-        eps_prime = _bisect_predicate(switched, lo1, hi1, tol)
-        lo2, hi2 = _bracket_predicate(at_x_basis)
-        eps_dprime = _bisect_predicate(at_x_basis, lo2, hi2, tol)
-        brackets = {"eps_prime": (lo1, hi1), "eps_double_prime": (lo2, hi2)}
-        residuals = {"switch_delta": SWITCH_DELTA}
     elif method == "derivative":
         anchor = 1e-4
-
-        def g_comp(eps: float) -> float:
-            return _angle_curvature(eps, anchor)
-
-        def g_x(eps: float) -> float:
-            return _angle_curvature(eps, math.pi / 4 - anchor)
-
-        lo1, hi1 = _bracket_sign(g_comp)
-        eps_prime = _bisect_root(g_comp, lo1, hi1, tol)
-        lo2, hi2 = _bracket_sign(g_x)
-        eps_dprime = _bisect_root(g_x, lo2, hi2, tol)
-        brackets = {"eps_prime": (lo1, hi1), "eps_double_prime": (lo2, hi2)}
-        residuals = {
-            "eps_prime": abs(g_comp(eps_prime)),
-            "eps_double_prime": abs(g_x(eps_dprime)),
-        }
+        first = partial(_angle_curvature, theta0=anchor)
+        second = partial(_angle_curvature, theta0=math.pi / 4 - anchor)
     else:
         raise BadParams(f"unknown threshold method {method!r}")
 
+    eps_prime, bracket1 = _first_root(first, tol)
+    eps_dprime, bracket2 = _first_root(second, tol)
+    if method == "basis-switch":
+        residuals = {"switch_delta": SWITCH_DELTA}
+    else:
+        residuals = {
+            "eps_prime": abs(first(eps_prime)),
+            "eps_double_prime": abs(second(eps_dprime)),
+        }
     return ThresholdResult(
         eps_prime=eps_prime,
         eps_double_prime=eps_dprime,
         method=method,
-        brackets=brackets,
+        brackets={"eps_prime": bracket1, "eps_double_prime": bracket2},
         residuals=residuals,
     )
-
-
-def _bracket_predicate(predicate: Callable[[float], bool]) -> tuple[float, float]:
-    grid = np.linspace(0.05, 0.99, 20)
-    prev = grid[0]
-    if predicate(float(prev)):
-        raise NoRootBracketed("predicate already true at the low end")
-    for eps in grid[1:]:
-        if predicate(float(eps)):
-            return float(prev), float(eps)
-        prev = eps
-    raise NoRootBracketed("predicate never flips on (0, 1)")
-
-
-def _bracket_sign(f: Callable[[float], float]) -> tuple[float, float]:
-    grid = np.linspace(0.05, 0.99, 20)
-    prev = grid[0]
-    fprev = f(float(prev))
-    for eps in grid[1:]:
-        fcur = f(float(eps))
-        if np.sign(fcur) != np.sign(fprev) and fprev != 0.0:
-            return float(prev), float(eps)
-        prev, fprev = eps, fcur
-    raise NoRootBracketed("no sign change on (0, 1)")
 
 
 # ---------------------------------------------------------------------------

@@ -125,17 +125,6 @@ def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_optimizable(state: DensityMatrix) -> None:
-    if any(d != 2 for d in state.dims):
-        raise NotAllQubits(
-            f"basis optimization needs qubit subsystems, got dims {state.dims}"
-        )
-    if state.n_parts > MAX_OPT_QUBITS:
-        raise TooManyQubits(
-            f"basis optimization is capped at {MAX_OPT_QUBITS} qubits, got {state.n_parts}"
-        )
-
-
 @dataclass(frozen=True)
 class ClosestClassical:
     """Argmin of the dephased-state entropy over product bases.
@@ -162,7 +151,14 @@ def _search_inputs(state: DensityMatrix):
     The batch evaluates ``joint_dephased_entropies`` once per grid size.
     Raises NotAllQubits or TooManyQubits before the tensor is built.
     """
-    _require_optimizable(state)
+    if any(d != 2 for d in state.dims):
+        raise NotAllQubits(
+            f"basis optimization needs qubit subsystems, got dims {state.dims}"
+        )
+    if state.n_parts > MAX_OPT_QUBITS:
+        raise TooManyQubits(
+            f"basis optimization is capped at {MAX_OPT_QUBITS} qubits, got {state.n_parts}"
+        )
     pauli = pauli_tensor(state.matrix)
     memo = {}
 
@@ -382,30 +378,7 @@ def full_report(
         "hookup_vs_C_plus_K": abs(m - fixed["C"] - fixed["K"]),
     }
 
-    d_val = j_val = l_val = g_val = None
-    chi_basis = g_basis = None
-    meta: dict = {}
-    available = True
-    reason = None
-    try:
-        _require_optimizable(state)
-    except (NotAllQubits, TooManyQubits) as exc:
-        available = False
-        reason = str(exc)
-
-    if available:
-        pauli, grid = _search_inputs(state)
-        cc = _closest_classical(state, cfg, pauli, grid)
-        chi_basis = cc.basis
-        d_val = cc.discord
-        j_val = cc.classical_correlations
-        l_val = cc.excess
-        residuals["excess_cross_form"] = cc.excess_residual
-        g_val, g_result = _global_discord_opt(state, cfg, pauli, grid)
-        g_basis = basis_from_angles(g_result.angles, dims=state.dims)
-        meta = {"chi": cc.optimizer.meta(), "global": g_result.meta()}
-
-    return QuantifierReport(
+    fields = dict(
         dims=state.dims,
         reference_basis=ref,
         total_correlations=fixed["T"],
@@ -414,15 +387,28 @@ def full_report(
         multipartite_coherence=fixed["C_M"],
         irreducible_classical=fixed["K"],
         hookup=fixed["M"],
-        discord=d_val,
-        classical_correlations=j_val,
-        excess=l_val,
-        global_discord=g_val,
-        chi_basis=chi_basis,
-        g_basis=g_basis,
-        optimizer_available=available,
-        unavailable_reason=reason,
-        optimizer_meta=meta,
+    )
+    try:
+        pauli, grid = _search_inputs(state)
+    except (NotAllQubits, TooManyQubits) as exc:
+        fields["unavailable_reason"] = str(exc)
+    else:
+        cc = _closest_classical(state, cfg, pauli, grid)
+        g_val, g_result = _global_discord_opt(state, cfg, pauli, grid)
+        residuals["excess_cross_form"] = cc.excess_residual
+        fields.update(
+            discord=cc.discord,
+            classical_correlations=cc.classical_correlations,
+            excess=cc.excess,
+            global_discord=g_val,
+            chi_basis=cc.basis,
+            g_basis=basis_from_angles(g_result.angles, dims=state.dims),
+            optimizer_available=True,
+            optimizer_meta={"chi": cc.optimizer.meta(), "global": g_result.meta()},
+        )
+
+    return QuantifierReport(
+        **fields,
         residuals=residuals,
         numerical_warning=any(r > RESIDUAL_WARN for r in residuals.values()),
     )

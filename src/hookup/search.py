@@ -299,14 +299,14 @@ def minimize_over_product_bases(
         grad = grad - np.sum(grad * axes, axis=1, keepdims=True) * axes
         return value, (grad / norm).ravel()
 
-    candidates: list[tuple[float, np.ndarray, bool, int]] = []
+    candidates: list[tuple[float, np.ndarray, bool]] = []
     nfev = 0
     for cell in seeds:
         x0 = options[list(np.unravel_index(int(cell), (len(options),) * n_qubits))]
         # Grid points themselves stay in the pool: along degenerate valleys a
         # refined point only drifts, and the tie-break should prefer the clean
         # grid representative.
-        candidates.append((float(values[int(cell)]), x0, True, int(cell)))
+        candidates.append((float(values[int(cell)]), x0, True))
         res = minimize(
             on_sphere,
             x0.ravel(),
@@ -317,12 +317,12 @@ def minimize_over_product_bases(
         nfev += int(res.nfev)
         v = res.x.reshape(n_qubits, 3)
         axes = v / np.linalg.norm(v, axis=1, keepdims=True)
-        candidates.append((float(res.fun), axes, bool(res.success), int(cell)))
+        candidates.append((float(res.fun), axes, bool(res.success)))
 
     best_value = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= best_value + 1e-9]
     keyed = sorted(tied, key=lambda c: _tie_key(tuple(map(axis_angles, c[1]))))
-    value, axes, success, _ = keyed[0]
+    value, axes, success = keyed[0]
 
     return OptimizerResult(
         angles=tuple(map(axis_angles, axes)),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,14 +32,7 @@ class VerifyRow:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 def _row(group, name, expected, actual, tol) -> VerifyRow:

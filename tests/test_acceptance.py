@@ -5,9 +5,11 @@ by the detailed reasons in the assertion message.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from hookup import (
     total_correlations,
     von_neumann_entropy,
 )
+from hookup import cli
 from hookup.linalg import qubit_unitary
 from hookup.mdms import find_thresholds, scan_mdms
 
@@ -281,6 +284,10 @@ def test_criterion_7_bound_suite():
 
 
 def test_criterion_8_verify_command():
+    # The subprocess runs the package under test: its directory leads PYTHONPATH.
+    src = str(Path(cli.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     failures = []
     started = time.perf_counter()
     proc = subprocess.run(
@@ -288,6 +295,7 @@ def test_criterion_8_verify_command():
         capture_output=True,
         text=True,
         timeout=300,
+        env=env,
     )
     elapsed = time.perf_counter() - started
     if proc.returncode != 0:

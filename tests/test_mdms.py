@@ -11,6 +11,7 @@ from hookup import (
 )
 from hookup.mdms import (
     ScanTable,
+    _first_root,
     compare_jk,
     find_thresholds,
     scan_mdms,
@@ -136,6 +137,42 @@ class TestThresholds:
     def test_unknown_method(self):
         with pytest.raises(BadParams):
             find_thresholds("newton")
+
+
+EPS_GRID = np.linspace(0.05, 0.99, 20)
+
+
+class TestFirstRoot:
+    def test_linear_root_and_its_grid_cell(self):
+        calls = []
+
+        def f(eps):
+            calls.append(eps)
+            return eps - 0.3
+
+        root, bracket = _first_root(f, 1e-8)
+        assert abs(root - 0.3) <= 1e-8
+        assert bracket == (EPS_GRID[5], EPS_GRID[6])
+        assert EPS_GRID[5] < 0.3 < EPS_GRID[6]
+        # f(lo) is carried through the bisection: no point is evaluated twice.
+        assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("value", [1.0, -1.0])
+    def test_constant_sign_raises(self, value):
+        with pytest.raises(NoRootBracketed):
+            _first_root(lambda eps: value, 1e-6)
+
+    def test_exact_zero_at_grid_point_is_returned(self):
+        target = float(EPS_GRID[7])
+        root, bracket = _first_root(lambda eps: eps - target, 1e-6)
+        assert root == target
+        assert bracket == (EPS_GRID[6], EPS_GRID[7])
+
+    def test_zero_at_low_end_is_not_a_flip(self):
+        low = float(EPS_GRID[0])
+        root, bracket = _first_root(lambda eps: (eps - low) * (0.5 - eps), 1e-8)
+        assert abs(root - 0.5) <= 1e-8
+        assert bracket == (EPS_GRID[9], EPS_GRID[10])
 
 
 class TestCompareJk:

@@ -288,14 +288,19 @@ class TestFullReport:
             assert abs(getattr(report, key) - value) <= 1e-6, key
 
     def test_qubit_qutrit_gates_optimizer_fields(self):
-        report = full_report(DensityMatrix((2, 3), np.eye(6) / 6))
-        assert report.discord is None
-        assert report.classical_correlations is None
-        assert report.excess is None
-        assert report.global_discord is None
-        assert not report.optimizer_available
-        assert report.unavailable_reason
-        assert report.total_correlations <= 1e-12
+        # A qutrit factor takes the NotAllQubits path, five qubits TooManyQubits.
+        for dims in [(2, 3), (2,) * 5]:
+            d = int(np.prod(dims))
+            report = full_report(DensityMatrix(dims, np.eye(d) / d))
+            assert report.discord is None
+            assert report.classical_correlations is None
+            assert report.excess is None
+            assert report.global_discord is None
+            assert not report.optimizer_available
+            assert report.unavailable_reason
+            assert report.total_correlations <= 1e-12
+            assert report.optimizer_meta == {}
+            assert set(report.residuals) == {"hookup_vs_T_plus_CL", "hookup_vs_C_plus_K"}
 
     def test_report_round_trips_to_dict(self):
         report = full_report(preset("paper-example"), cfg=FAST)
