@@ -163,29 +163,32 @@ def _check_basis(state: DensityMatrix, basis: ProductBasis) -> None:
         raise DimensionMismatch(f"basis dims {basis.dims} != state dims {state.dims}")
 
 
-def dephase(state: DensityMatrix, basis: ProductBasis | None = None) -> DensityMatrix:
-    """Zero all off-diagonal elements in the given product basis.
-
-    Idempotent and trace preserving.  ``None`` means the computational basis,
-    which short-circuits to an exact diagonal extraction.
-    """
+def _weights(state: DensityMatrix, basis: ProductBasis | None):
+    """The state's weights in ``basis`` and its unitary, None for the computational basis."""
+    if basis is not None:
+        _check_basis(state, basis)
     if basis is None or basis.is_identity():
-        out = np.diag(np.diag(state.matrix).real.astype(complex))
-        return DensityMatrix(state.dims, out)
-    _check_basis(state, basis)
+        return np.diag(state.matrix).real.copy(), None
     b = basis.matrix()
-    rotated = b.conj().T @ state.matrix @ b
-    out = b @ np.diag(np.diag(rotated).real.astype(complex)) @ b.conj().T
+    return np.real(np.einsum("ik,ij,jk->k", b.conj(), state.matrix, b)), b
+
+
+def dephase(state: DensityMatrix, basis: ProductBasis | None = None) -> DensityMatrix:
+    """Zero all off-diagonal elements in the given product basis: b diag(p) b^dagger.
+
+    p holds the ``dephased_probs``.  Idempotent and trace preserving.  In the
+    computational basis (``None`` included) the result is exactly diag(p).
+    """
+    probs, b = _weights(state, basis)
+    if b is None:
+        return DensityMatrix(state.dims, np.diag(probs))
+    out = (b * probs) @ b.conj().T
     return DensityMatrix(state.dims, (out + out.conj().T) / 2)
 
 
 def dephased_probs(state: DensityMatrix, basis: ProductBasis | None = None) -> np.ndarray:
     """Diagonal weights of the state in the given product basis."""
-    if basis is None or basis.is_identity():
-        return np.diag(state.matrix).real.copy()
-    _check_basis(state, basis)
-    b = basis.matrix()
-    return np.real(np.einsum("ik,ij,jk->k", b.conj(), state.matrix, b))
+    return _weights(state, basis)[0]
 
 
 def marginal_product(state: DensityMatrix) -> DensityMatrix:

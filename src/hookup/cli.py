@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -165,14 +166,7 @@ def _cmd_scan(args) -> int:
 def _cmd_thresholds(args) -> int:
     result = find_thresholds(method=args.method, cfg=_config(args))
     if args.format == "json":
-        doc = {
-            "eps_prime": result.eps_prime,
-            "eps_double_prime": result.eps_double_prime,
-            "method": result.method,
-            "brackets": {k: list(v) for k, v in result.brackets.items()},
-            "residuals": result.residuals,
-        }
-        _emit(json.dumps(doc, indent=1), args.out)
+        _emit(json.dumps(dataclasses.asdict(result), indent=1), args.out)
     else:
         lines = [
             f"method: {result.method}",

@@ -5,8 +5,11 @@ multipartite parts, irreducible classical information, hookup) work for any
 subsystem dimensions.  All six come from one entropy ledger of four entries:
 S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), where p holds the state's
 weights in the reference product basis and p_q its marginals (``_ledger``).
-The optimized quantities (discord, classical correlations, the excess term,
-global discord) search over qubit product bases and are capped at four qubits.
+The optimized quantities search over qubit product bases, capped at four
+qubits, and read the same ledger: in the closest-classical basis b*, which
+minimizes H(p), the discord is D = C(b*), the classical correlations
+J = K(b*) and the excess L = D + J - T = C_L(b*); the global discord is
+G = min_b C_M(b) = T - max_b K(b).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .search import (
     OptimizerResult,
     dephased_entropy,
     joint_dephased_entropies,
-    marginal_dephased_entropies,
     minimize_over_product_bases,
     pauli_tensor,
     split_entropy,
@@ -71,11 +73,6 @@ def _state_entropies(state: DensityMatrix) -> tuple[float, float]:
     return von_neumann_entropy(state), s_q
 
 
-def _ledger(state: DensityMatrix, basis: ProductBasis | None = None) -> tuple:
-    """S(rho), sum_q S(rho_q), H(p) and sum_q H(p_q), p = dephased_probs(state, basis)."""
-    return _state_entropies(state) + _dephased_entropies(dephased_probs(state, basis), state.dims)
-
-
 def _fixed_basis_values(s, s_q, h, h_q) -> dict:
     """T, C, C_L, C_M, K and M by label from the ledger entries, arrays allowed.
 
@@ -83,6 +80,15 @@ def _fixed_basis_values(s, s_q, h, h_q) -> dict:
     """
     c, c_l = h - s, h_q - s_q
     return {"T": s_q - s, "C": c, "C_L": c_l, "C_M": c - c_l, "K": h_q - h, "M": h_q - s}
+
+
+def _ledger(state: DensityMatrix, basis: ProductBasis | None, entropies) -> dict:
+    """``_fixed_basis_values`` in ``basis``, given ``entropies = _state_entropies(state)``.
+
+    H(p) and sum_q H(p_q) come from p = dephased_probs(state, basis).
+    """
+    probs = dephased_probs(state, basis)
+    return _fixed_basis_values(*entropies, *_dephased_entropies(probs, state.dims))
 
 
 def total_correlations(state: DensityMatrix) -> float:
@@ -93,22 +99,22 @@ def total_correlations(state: DensityMatrix) -> float:
 
 def coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Entropy gained by dephasing in the reference basis."""
-    return _fixed_basis_values(*_ledger(state, basis))["C"]
+    return _ledger(state, basis, _state_entropies(state))["C"]
 
 
 def local_coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Sum of the single-subsystem coherences in the reference basis."""
-    return _fixed_basis_values(*_ledger(state, basis))["C_L"]
+    return _ledger(state, basis, _state_entropies(state))["C_L"]
 
 
 def multipartite_coherence(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Coherence beyond what the marginals carry; never negative."""
-    return _fixed_basis_values(*_ledger(state, basis))["C_M"]
+    return _ledger(state, basis, _state_entropies(state))["C_M"]
 
 
 def irreducible_classical(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     """Mutual information that survives full dephasing."""
-    return _fixed_basis_values(*_ledger(state, basis))["K"]
+    return _ledger(state, basis, _state_entropies(state))["K"]
 
 
 def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
@@ -117,7 +123,7 @@ def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
     Equals total correlations plus local coherence, and equally coherence plus
     irreducible classical information.
     """
-    return _fixed_basis_values(*_ledger(state, basis))["M"]
+    return _ledger(state, basis, _state_entropies(state))["M"]
 
 
 # ---------------------------------------------------------------------------
@@ -129,11 +135,12 @@ def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
 class ClosestClassical:
     """Argmin of the dephased-state entropy over product bases.
 
-    Carries the quantities derived from the closest classical state chi:
-    ``discord`` D = S(chi) - S(state), ``classical_correlations`` J = T(chi),
-    ``excess`` L = D + J - T(state), and ``excess_residual``, the gap between
-    L and its relative-entropy form S(pi_state || pi_chi) on the marginal
-    products.
+    ``chi`` is the closest classical state, the dephasing of the state in
+    ``basis`` = b*.  The ledger at b* gives ``discord`` D = C(b*) =
+    S(chi) - S(state), ``classical_correlations`` J = K(b*) = T(chi) and
+    ``excess`` L = D + J - T(state) = C_L(b*).  ``excess_residual`` is the gap
+    between L and its relative-entropy form S(pi_state || pi_chi) on the
+    marginal products.
     """
 
     chi: DensityMatrix
@@ -178,26 +185,28 @@ def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) 
     per qubit, together with the discord, classical correlations and excess
     term it determines.
     """
-    return _closest_classical(state, cfg or OptimizerConfig(), *_search_inputs(state))
+    cfg = cfg or OptimizerConfig()
+    return _closest_classical(state, cfg, *_search_inputs(state), _state_entropies(state))
 
 
-def _closest_classical(state: DensityMatrix, cfg: OptimizerConfig, pauli, grid) -> ClosestClassical:
+def _closest_classical(
+    state: DensityMatrix, cfg: OptimizerConfig, pauli, grid, entropies
+) -> ClosestClassical:
+    """``closest_classical`` given ``_search_inputs`` and ``_state_entropies``."""
     objective = partial(dephased_entropy, pauli)
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=grid)
     basis = basis_from_angles(result.angles, dims=state.dims)
+    values = _ledger(state, basis, entropies)
     chi = dephase(state, basis)
-    d = von_neumann_entropy(chi) - von_neumann_entropy(state)
-    j = total_correlations(chi)
-    excess = d + j - total_correlations(state)
     cross = relative_entropy(marginal_product(state), marginal_product(chi))
     return ClosestClassical(
         chi=chi,
         basis=basis,
         optimizer=result,
-        discord=d,
-        classical_correlations=j,
-        excess=excess,
-        excess_residual=abs(excess - cross),
+        discord=values["C"],
+        classical_correlations=values["K"],
+        excess=values["C_L"],
+        excess_residual=abs(values["C_L"] - cross),
     )
 
 
@@ -223,21 +232,20 @@ def excess_correlations(state: DensityMatrix, cfg: OptimizerConfig | None = None
 
 def global_discord(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> float:
     """Multipartite coherence minimized over all product bases."""
-    return _global_discord_opt(state, cfg or OptimizerConfig(), *_search_inputs(state))[0]
+    cfg = cfg or OptimizerConfig()
+    return _global_discord_opt(state, cfg, *_search_inputs(state), _state_entropies(state))[0]
 
 
 def _global_discord_opt(
-    state: DensityMatrix, cfg: OptimizerConfig, pauli, grid
+    state: DensityMatrix, cfg: OptimizerConfig, pauli, grid, entropies
 ) -> tuple[float, OptimizerResult]:
+    """G and its search: C_M(b) = T - K(b), so minimize H(p) - sum_q H(p_q) and add T."""
     n = state.n_parts
     # The marginal Bloch vectors r_q are the entries of R with one non-identity index.
     bloch = np.array([pauli[(0,) * q + (slice(1, 4),) + (0,) * (n - q - 1)] for q in range(n)])
-    # C_M(b) = [S(joint dephased) - S] - sum_q [S(marginal q dephased) - S_q]
-    s_marginals = split_entropy(np.linalg.norm(bloch, axis=1))[0]
-    constant = -von_neumann_entropy(state) + float(s_marginals.sum())
 
     def batch(options):
-        marginal = marginal_dephased_entropies(bloch, options)
+        marginal = split_entropy(options @ bloch.T)[0]
         return grid(options) - reduce(np.add.outer, marginal.T)
 
     def objective(axes):
@@ -246,24 +254,26 @@ def _global_discord_opt(
         return value - h.sum(), grad - slope[:, None] * bloch
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
-    return result.value + constant, result
+    s, s_q = entropies
+    return result.value + (s_q - s), result
 
 
 # ---------------------------------------------------------------------------
 # One-call report
 # ---------------------------------------------------------------------------
 
+# Report field: (symbol, name in the text report), in report order.
 REPORT_LABELS = {
-    "total_correlations": "T",
-    "coherence": "C",
-    "local_coherence": "C_L",
-    "multipartite_coherence": "C_M",
-    "irreducible_classical": "K",
-    "hookup": "M",
-    "discord": "D",
-    "classical_correlations": "J",
-    "excess": "L",
-    "global_discord": "G",
+    "total_correlations": ("T", "total correlations"),
+    "coherence": ("C", "coherence"),
+    "local_coherence": ("C_L", "local coherence"),
+    "multipartite_coherence": ("C_M", "multipartite coherence"),
+    "irreducible_classical": ("K", "irreducible classical information"),
+    "hookup": ("M", "hookup"),
+    "discord": ("D", "discord"),
+    "classical_correlations": ("J", "classical correlations"),
+    "excess": ("L", "excess (D + J - T)"),
+    "global_discord": ("G", "global discord"),
 }
 
 
@@ -308,7 +318,7 @@ class QuantifierReport:
         return {
             "dims": list(self.dims),
             "quantifiers": {k: jsonable(v) for k, v in self.values().items()},
-            "labels": dict(REPORT_LABELS),
+            "labels": {k: symbol for k, (symbol, _) in REPORT_LABELS.items()},
             "reference_basis": basis_angles(self.reference_basis),
             "chi_basis": basis_angles(self.chi_basis),
             "g_basis": basis_angles(self.g_basis),
@@ -320,23 +330,11 @@ class QuantifierReport:
         }
 
     def format_text(self) -> str:
-        names = {
-            "total_correlations": "total correlations",
-            "coherence": "coherence",
-            "local_coherence": "local coherence",
-            "multipartite_coherence": "multipartite coherence",
-            "irreducible_classical": "irreducible classical information",
-            "hookup": "hookup",
-            "discord": "discord",
-            "classical_correlations": "classical correlations",
-            "excess": "excess (D + J - T)",
-            "global_discord": "global discord",
-        }
         lines = [f"state dims: {self.dims}"]
-        for key, label in REPORT_LABELS.items():
+        for key, (symbol, name) in REPORT_LABELS.items():
             value = getattr(self, key)
             shown = "unavailable" if value is None else f"{value:.9f}"
-            lines.append(f"  {label:<4} {names[key]:<34} {shown}")
+            lines.append(f"  {symbol:<4} {name:<34} {shown}")
         if not self.optimizer_available and self.unavailable_reason:
             lines.append(f"  note: {self.unavailable_reason}")
         if self.chi_basis is not None and self.chi_basis.angles is not None:
@@ -370,9 +368,9 @@ def full_report(
     cfg = cfg or OptimizerConfig()
     ref = basis if basis is not None else computational_basis(state.dims)
 
-    s, *rest = _ledger(state, ref)
-    fixed = _fixed_basis_values(s, *rest)
-    m = von_neumann_entropy(dephase(marginal_product(state), ref)) - s
+    entropies = _state_entropies(state)
+    fixed = _ledger(state, ref, entropies)
+    m = von_neumann_entropy(dephase(marginal_product(state), ref)) - entropies[0]
     residuals = {
         "hookup_vs_T_plus_CL": abs(m - fixed["T"] - fixed["C_L"]),
         "hookup_vs_C_plus_K": abs(m - fixed["C"] - fixed["K"]),
@@ -393,8 +391,8 @@ def full_report(
     except (NotAllQubits, TooManyQubits) as exc:
         fields["unavailable_reason"] = str(exc)
     else:
-        cc = _closest_classical(state, cfg, pauli, grid)
-        g_val, g_result = _global_discord_opt(state, cfg, pauli, grid)
+        cc = _closest_classical(state, cfg, pauli, grid, entropies)
+        g_val, g_result = _global_discord_opt(state, cfg, pauli, grid, entropies)
         residuals["excess_cross_form"] = cc.excess_residual
         fields.update(
             discord=cc.discord,

@@ -108,13 +108,16 @@ class OptimizerResult:
 def effective_grid_points(requested: int, n_qubits: int) -> int:
     """Largest point count <= requested whose pts^(2n) angle cells fit the budget.
 
-    Shrinks in steps that keep odd counts odd, so the midpoint theta = pi/4
-    stays on the grid.
+    A count that must shrink becomes the largest odd one that fits, at least
+    3, so the midpoint theta = pi/4 stays on the grid.
     """
-    pts = max(3, int(requested))
-    while pts > 3 and pts ** (2 * n_qubits) > GRID_CELL_BUDGET:
-        pts -= 1 if pts % 2 == 0 else 2
-    return pts
+    pts, power = max(3, int(requested)), 2 * n_qubits
+    if pts**power <= GRID_CELL_BUDGET:
+        return pts
+    # The float root is within one of the largest count that fits.
+    root = int(GRID_CELL_BUDGET ** (1 / power))
+    fit = max(k for k in (root - 1, root, root + 1) if k**power <= GRID_CELL_BUDGET)
+    return max(3, fit - 1 + fit % 2)
 
 
 def angle_axes(points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,15 +197,6 @@ def split_entropy(x):
     p = np.maximum(np.stack([1.0 + x, 1.0 - x]) / 2, 0.0)
     log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
     return -(p * log_p).sum(axis=0), (log_p[1] - log_p[0]) / 2
-
-
-def marginal_dephased_entropies(bloch: np.ndarray, options: np.ndarray) -> np.ndarray:
-    """Dephased entropies h((1 +- n.r_q)/2) of single-qubit marginals.
-
-    ``bloch`` holds the marginal Bloch vectors r_q, shape (n, 3), and
-    ``options`` the basis axes n, shape (K, 3).  Returns shape (K, n).
-    """
-    return split_entropy(options @ bloch.T)[0]
 
 
 def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):

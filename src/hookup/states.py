@@ -45,8 +45,8 @@ class DensityMatrix:
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
         m = np.array(self.matrix, dtype=complex)
-        if any(d < 2 for d in dims):
-            raise DimensionMismatch(f"every subsystem dimension must be >= 2, got {dims}")
+        if not dims or any(d < 2 for d in dims):
+            raise DimensionMismatch(f"dims need one or more subsystems, each >= 2, got {dims}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got shape {m.shape}")
         if int(np.prod(dims)) != m.shape[0]:

@@ -117,6 +117,12 @@ class TestDephase:
         with pytest.raises(DimensionMismatch):
             dephase(preset("bell"), basis_from_angles([(0.1, 0.0)]))
 
+    @pytest.mark.parametrize("fn", [dephase, dephased_probs])
+    def test_computational_basis_dim_mismatch(self, fn):
+        # Checked too, though the computational basis needs no rotation.
+        with pytest.raises(DimensionMismatch):
+            fn(preset("bell"), computational_basis((4,)))
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_idempotent_and_valid(self, seed):

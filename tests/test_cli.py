@@ -82,6 +82,15 @@ class TestCompute:
         assert code == 2
         assert "trace" in err
 
+    def test_empty_dims_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"dims": [], "matrix": [[{"re": 1, "im": 0}]]}))
+        code, out, err = run(capsys, "compute", "--file", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "one or more subsystems" in err
+        assert out == ""
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_entry_exit_2(self, tmp_path, capsys, literal):
         # Python's json module parses these literals to floats; the state

@@ -11,6 +11,7 @@ from hookup import (
     DensityMatrix,
     OptimizerConfig,
     ProductBasis,
+    closest_classical,
     coherence,
     dephase,
     full_report,
@@ -98,6 +99,27 @@ def test_scan_eigendecompositions_do_not_grow_with_theta(monkeypatch):
         scan_mdms(theta_points, 3, FAST)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_searches_read_the_ledger_not_chi(monkeypatch):
+    # D, J and L come from the dephased weights at the argmin basis and G from
+    # S(rho) and S(rho_q), so the full-size eigendecompositions are S(rho) and
+    # the two sides of the excess cross form, plus the hookup residual's
+    # S(Delta(pi(rho))) in a report.
+    sizes = []
+    counted = linalg.hermitian_eig
+
+    def counting(m):
+        sizes.append(len(m))
+        return counted(m)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counting)
+    state = random_state(np.random.default_rng(5), (2, 2))
+    closest_classical(state, FAST)
+    assert sizes.count(4) == 3
+    sizes.clear()
+    full_report(state, cfg=FAST)
+    assert sizes.count(4) == 4
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from functools import partial
 
 import numpy as np
@@ -236,25 +237,26 @@ class TestOptimizedQuantifiers:
         rotated = DensityMatrix((2, 2), v @ state.matrix @ v.conj().T)
         assert abs(discord(rotated, FAST) - d) <= 1e-6
 
-    @given(st.integers(0, 2**32 - 1))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 2, 2)]))
     @settings(max_examples=6, deadline=None)
-    def test_excess_nonnegative_and_eigenbasis_identity(self, seed):
+    def test_excess_nonnegative_and_eigenbasis_identity(self, seed, dims):
         rng = np.random.default_rng(seed)
-        state = random_state(rng, (2, 2))
+        state = random_state(rng, dims)
         cc = closest_classical(state, FAST)
+        # D, J and L are the ledger's C, K and C_L in the closest-classical basis.
+        assert cc.discord == coherence(state, cc.basis)
+        assert cc.classical_correlations == irreducible_classical(state, cc.basis)
+        assert cc.excess == local_coherence(state, cc.basis)
+        # The same quantities from chi itself, an independent route.
         d = von_neumann_entropy(cc.chi) - von_neumann_entropy(state)
         j = total_correlations(cc.chi)
         t = total_correlations(state)
-        excess = d + j - t
-        # The fields of the search result are these same formulas.
-        assert cc.discord == d
-        assert cc.classical_correlations == j
-        assert cc.excess == excess
+        assert abs(cc.discord - d) <= 1e-12
+        assert abs(cc.classical_correlations - j) <= 1e-12
+        assert abs(cc.excess - (d + j - t)) <= 1e-12
         assert cc.excess_residual <= 1e-7
-        assert excess >= -1e-8
+        assert cc.excess >= -1e-8
         assert t <= d + j + 1e-8
-        # Local coherence in the chi eigenbasis reproduces the excess term.
-        assert abs(local_coherence(state, cc.basis) - excess) <= 1e-6
 
 
 class TestFullReport:
@@ -325,6 +327,31 @@ class TestScaling:
         assert effective_grid_points(17, 2) == 17
         assert effective_grid_points(17, 3) == 13
         assert effective_grid_points(17, 4) == 7
+
+    @staticmethod
+    def shrink_grid(requested, n_qubits):
+        # The budget rule as a loop: step down, odd counts by 2, until it fits.
+        from hookup.search import GRID_CELL_BUDGET
+
+        pts = max(3, requested)
+        while pts > 3 and pts ** (2 * n_qubits) > GRID_CELL_BUDGET:
+            pts -= 1 if pts % 2 == 0 else 2
+        return pts
+
+    def test_grid_budget_matches_the_shrinking_loop(self):
+        from hookup.search import effective_grid_points
+
+        for n in range(1, 5):
+            for requested in range(2, 301):
+                assert effective_grid_points(requested, n) == self.shrink_grid(requested, n)
+
+    def test_huge_grid_request_returns_at_once(self):
+        from hookup.search import effective_grid_points
+
+        start = time.perf_counter()
+        pts = [effective_grid_points(10**9, n) for n in range(1, 5)]
+        assert time.perf_counter() - start < 0.1
+        assert pts == [self.shrink_grid(3000, n) for n in range(1, 5)]
 
     def test_meta_reports_requested_and_effective_grid(self):
         meta = closest_classical(preset("w-mixture")).optimizer.meta()
