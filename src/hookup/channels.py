@@ -71,6 +71,8 @@ class ProductBasis:
             u.setflags(write=False)
             factors.append(u)
         object.__setattr__(self, "factors", tuple(factors))
+        identity = not any(np.count_nonzero(f - np.eye(len(f))) for f in factors)
+        object.__setattr__(self, "_identity", identity)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -81,9 +83,7 @@ class ProductBasis:
         return linalg.kron_all(self.factors)
 
     def is_identity(self) -> bool:
-        return all(
-            linalg.max_abs(f - np.eye(f.shape[0])) == 0.0 for f in self.factors
-        )
+        return self._identity
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:
@@ -158,15 +158,10 @@ def axis_angles(n: np.ndarray) -> QubitBasisAngles:
     return QubitBasisAngles(theta, phi)
 
 
-def _check_basis(state: DensityMatrix, basis: ProductBasis) -> None:
-    if basis.dims != state.dims:
-        raise DimensionMismatch(f"basis dims {basis.dims} != state dims {state.dims}")
-
-
 def _weights(state: DensityMatrix, basis: ProductBasis | None):
     """The state's weights in ``basis`` and its unitary, None for the computational basis."""
-    if basis is not None:
-        _check_basis(state, basis)
+    if basis is not None and basis.dims != state.dims:
+        raise DimensionMismatch(f"basis dims {basis.dims} != state dims {state.dims}")
     if basis is None or basis.is_identity():
         return np.diag(state.matrix).real.copy(), None
     b = basis.matrix()

@@ -40,9 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--phi", type=float, help="preset parameter (radians)")
 
     def add_optimizer_flags(p):
-        p.add_argument("--starts", type=int, default=8, help="multistart count")
-        p.add_argument("--grid", type=int, default=17, help="coarse grid points per angle")
-        p.add_argument("--tol", type=float, default=1e-9, help="objective tolerance")
+        defaults = OptimizerConfig()
+        p.add_argument("--starts", type=int, default=defaults.multistarts, help="multistart count")
+        p.add_argument(
+            "--grid", type=int, default=defaults.grid_points, help="coarse grid points per angle"
+        )
+        p.add_argument("--tol", type=float, default=defaults.tol, help="objective tolerance")
 
     p = sub.add_parser("compute", help="full quantifier report for one state")
     add_state_flags(p)

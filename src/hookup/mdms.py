@@ -60,14 +60,17 @@ def _dephased_row(eps: float, thetas: np.ndarray):
     return _dephased_entropies(probs, (2, 2))
 
 
-def _row_values(eps: float, thetas: np.ndarray) -> dict:
-    """T, C, C_L, C_M, K and M of ``mdms(eps, theta, 0)`` along ``thetas``.
+def _row_values(eps: float, thetas: np.ndarray, cfg: OptimizerConfig) -> dict:
+    """The ``SCAN_COLUMNS`` of ``mdms(eps, theta, 0)`` along ``thetas``.
 
-    S(rho) and sum_q S(rho_q) come once from the theta = 0 member, since the
-    rotation is a local unitary; each theta adds only its dephased weights.
+    The rotation is a local unitary, so S(rho), sum_q S(rho_q) and the
+    closest-classical search (D, J and L) come once from the theta = 0
+    member; each theta adds only its dephased weights.
     """
-    s, s_q = _state_entropies(mdms(eps, 0.0, 0.0))
-    return _fixed_basis_values(s, s_q, *_dephased_row(eps, thetas))
+    member = mdms(eps, 0.0, 0.0)
+    cc = closest_classical(member, cfg)
+    row = _fixed_basis_values(*_state_entropies(member), *_dephased_row(eps, thetas))
+    return {**row, "D": cc.discord, "J": cc.classical_correlations, "L": cc.excess}
 
 
 def scan_mdms(
@@ -86,6 +89,8 @@ def scan_mdms(
     theta adds only the entropies of its dephased weights.  The tests check
     that invariance against independent evaluations of rotated members.
     """
+    from . import __version__
+
     if theta_points < 2 or epsilon_points < 2:
         raise BadParams("grid sizes must be at least 2")
     if not 0.0 < theta_max <= math.pi / 4 + 1e-12:
@@ -96,27 +101,17 @@ def scan_mdms(
     cols = {name: np.empty((theta_points, epsilon_points)) for name in SCAN_COLUMNS}
 
     for je, eps in enumerate(epsilons):
-        cc = closest_classical(mdms(float(eps), 0.0, 0.0), cfg)
-        for name, values in _row_values(float(eps), thetas).items():
+        for name, values in _row_values(float(eps), thetas, cfg).items():
             cols[name][:, je] = values
-        cols["D"][:, je] = cc.discord
-        cols["J"][:, je] = cc.classical_correlations
-        cols["L"][:, je] = cc.excess
 
     provenance = (
-        f"hookup scan-mdms version={_package_version()}",
+        f"hookup scan-mdms version={__version__}",
         f"theta_points={theta_points} epsilon_points={epsilon_points} theta_max={theta_max!r}",
         f"optimizer grid={cfg.grid_points} starts={cfg.multistarts} tol={cfg.tol!r} "
         f"max_iter={cfg.max_iter}",
         "columns: " + ",".join(CSV_HEADER),
     )
     return ScanTable(thetas=thetas, epsilons=epsilons, columns=cols, provenance=provenance)
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def scan_to_csv(table: ScanTable) -> str:
@@ -188,8 +183,9 @@ def _first_root(f: Callable[[float], float], tol: float) -> tuple[float, tuple[f
     return 0.5 * (lo + hi), bracket
 
 
-def _angle_curvature(eps: float, theta0: float, step: float = 1e-4) -> float:
+def _angle_curvature(eps: float, theta0: float) -> float:
     """Central second difference in theta of the dephased-state entropy."""
+    step = 1e-4
     h = _dephased_row(eps, np.array([theta0 - step, theta0, theta0 + step]))[0]
     return (h[2] - 2 * h[1] + h[0]) / step**2
 
@@ -275,12 +271,12 @@ def compare_jk(
         eps = float(eps)
         if not 0.0 < eps < 1.0:
             raise BadParams(f"epsilon values must lie in (0, 1), got {eps}")
-        j = closest_classical(mdms(eps, 0.0, 0.0), cfg).classical_correlations
-        gaps = _row_values(eps, thetas)["K"] - j
+        row = _row_values(eps, thetas, cfg)
+        gaps = row["K"] - row["J"]
         rows.append(
             {
                 "epsilon": eps,
-                "J": j,
+                "J": row["J"],
                 "max_K_minus_J": float(gaps.max()),
                 "min_K_minus_J": float(gaps.min()),
                 "theta_at_max": float(thetas[int(gaps.argmax())]),

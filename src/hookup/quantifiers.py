@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -135,21 +135,29 @@ def hookup(state: DensityMatrix, basis: ProductBasis | None = None) -> float:
 class ClosestClassical:
     """Argmin of the dephased-state entropy over product bases.
 
-    ``chi`` is the closest classical state, the dephasing of the state in
-    ``basis`` = b*.  The ledger at b* gives ``discord`` D = C(b*) =
-    S(chi) - S(state), ``classical_correlations`` J = K(b*) = T(chi) and
-    ``excess`` L = D + J - T(state) = C_L(b*).  ``excess_residual`` is the gap
-    between L and its relative-entropy form S(pi_state || pi_chi) on the
-    marginal products.
+    The search decides ``basis`` = b*, and the ledger at b* gives ``discord``
+    D = C(b*) = S(chi) - S(state), ``classical_correlations`` J = K(b*) =
+    T(chi) and ``excess`` L = D + J - T(state) = C_L(b*).  Computed on first
+    read and kept: ``chi``, the closest classical state (the dephasing of
+    ``state`` in b*), and ``excess_residual``, the gap between L and its
+    relative-entropy form S(pi_state || pi_chi) on the marginal products.
     """
 
-    chi: DensityMatrix
+    state: DensityMatrix
     basis: ProductBasis
     optimizer: OptimizerResult
     discord: float
     classical_correlations: float
     excess: float
-    excess_residual: float
+
+    @cached_property
+    def chi(self) -> DensityMatrix:
+        return dephase(self.state, self.basis)
+
+    @cached_property
+    def excess_residual(self) -> float:
+        cross = relative_entropy(marginal_product(self.state), marginal_product(self.chi))
+        return abs(self.excess - cross)
 
 
 def _search_inputs(state: DensityMatrix):
@@ -180,10 +188,9 @@ def _search_inputs(state: DensityMatrix):
 def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) -> ClosestClassical:
     """Classically correlated state closest to ``state``.
 
-    Returns the dephasing of the state in the entropy-minimizing product
-    basis, found by grid seeding plus L-BFGS-B refinement of one Bloch axis
-    per qubit, together with the discord, classical correlations and excess
-    term it determines.
+    Returns the entropy-minimizing product basis, found by grid seeding plus
+    L-BFGS-B refinement of one Bloch axis per qubit, together with the
+    discord, classical correlations and excess term it determines.
     """
     cfg = cfg or OptimizerConfig()
     return _closest_classical(state, cfg, *_search_inputs(state), _state_entropies(state))
@@ -197,16 +204,13 @@ def _closest_classical(
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=grid)
     basis = basis_from_angles(result.angles, dims=state.dims)
     values = _ledger(state, basis, entropies)
-    chi = dephase(state, basis)
-    cross = relative_entropy(marginal_product(state), marginal_product(chi))
     return ClosestClassical(
-        chi=chi,
+        state=state,
         basis=basis,
         optimizer=result,
         discord=values["C"],
         classical_correlations=values["K"],
         excess=values["C_L"],
-        excess_residual=abs(values["C_L"] - cross),
     )
 
 

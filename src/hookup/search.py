@@ -232,7 +232,9 @@ def _first_options(options: np.ndarray) -> np.ndarray:
 
     An option's basis is its projector axis pair {n, -n}, keyed by n n^T; so
     every theta in {0, pi/2} gives option 0's basis, the computational one, and
-    (pts - 2) * pts + 1 of the pts^2 options remain.
+    (pts - 2) * pts + 1 of the pts^2 options remain for odd pts.  For even pts
+    phi + pi is on the grid too, and (pi/2 - theta, phi + pi) gives the pair of
+    (theta, phi), so (pts - 2) * pts / 2 + 1 remain.
     """
     key = np.round(options[:, :, None] * options[:, None, :], 9).reshape(len(options), 9) + 0.0
     return np.isin(np.arange(len(options)), np.unique(key, axis=0, return_index=True)[1])

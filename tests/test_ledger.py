@@ -24,7 +24,7 @@ from hookup import (
     total_correlations,
 )
 from hookup import linalg
-from hookup.mdms import scan_mdms
+from hookup.mdms import compare_jk, find_thresholds, scan_mdms
 from hookup.states import load, mdms
 
 FAST = OptimizerConfig(grid_points=9, multistarts=4)
@@ -103,9 +103,9 @@ def test_scan_eigendecompositions_do_not_grow_with_theta(monkeypatch):
 
 def test_searches_read_the_ledger_not_chi(monkeypatch):
     # D, J and L come from the dephased weights at the argmin basis and G from
-    # S(rho) and S(rho_q), so the full-size eigendecompositions are S(rho) and
-    # the two sides of the excess cross form, plus the hookup residual's
-    # S(Delta(pi(rho))) in a report.
+    # S(rho) and S(rho_q), so a search makes one full-size eigendecomposition,
+    # S(rho).  The excess cross form adds its two sides on first read, and a
+    # report adds the hookup residual's S(Delta(pi(rho))).
     sizes = []
     counted = linalg.hermitian_eig
 
@@ -115,11 +115,25 @@ def test_searches_read_the_ledger_not_chi(monkeypatch):
 
     monkeypatch.setattr(linalg, "hermitian_eig", counting)
     state = random_state(np.random.default_rng(5), (2, 2))
-    closest_classical(state, FAST)
+    cc = closest_classical(state, FAST)
+    assert sizes.count(4) == 1
+    cc.excess_residual
+    assert sizes.count(4) == 3
+    cc.excess_residual
     assert sizes.count(4) == 3
     sizes.clear()
     full_report(state, cfg=FAST)
     assert sizes.count(4) == 4
+    # The family sweeps read no cross form: one search and S(rho) per epsilon.
+    sizes.clear()
+    scan_mdms(3, 4, FAST)
+    assert sizes.count(4) == 8
+    sizes.clear()
+    compare_jk([0.3, 0.7], cfg=FAST)
+    assert sizes.count(4) == 4
+    sizes.clear()
+    find_thresholds(cfg=FAST)  # 48 searches, each argmin shared by both thresholds
+    assert sizes.count(4) == 48
 
 
 @pytest.mark.parametrize(

@@ -476,10 +476,11 @@ class TestMinimizeOverProductBases:
         for a in result.angles:
             assert abs(a.theta - math.pi / 4) <= 0.02
 
-    @pytest.mark.parametrize("points", [3, 5, 7, 9, 13, 17])
+    @pytest.mark.parametrize("points", [3, 4, 5, 7, 9, 10, 13, 16, 17])
     def test_batch_receives_one_axis_per_distinct_basis(self, points):
         # The grid drops every option whose basis an earlier option already
-        # gives: all theta in {0, pi/2} are the computational basis.
+        # gives: all theta in {0, pi/2} are the computational basis, and for
+        # even points (pi/2 - theta, phi + pi) gives the basis of (theta, phi).
         received = []
 
         def batch(options):
@@ -489,7 +490,7 @@ class TestMinimizeOverProductBases:
         cfg = OptimizerConfig(grid_points=points, multistarts=1, max_iter=1)
         minimize_over_product_bases(lambda axes: (0.0, np.zeros((2, 3))), 2, cfg, batch=batch)
         (rows,) = received
-        assert rows.shape == ((points - 2) * points + 1, 3)
+        assert rows.shape == ((points - 2) * points // (2 - points % 2) + 1, 3)
         assert np.array_equal(rows[0], [0.0, 0.0, 1.0])
         # Two unit axes give one basis exactly when n = +-m, i.e. |n . m| = 1.
         overlaps = np.abs(rows @ rows.T)
