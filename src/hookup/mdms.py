@@ -9,8 +9,9 @@ the rotation is a real O x O, which leaves Phi+ invariant; so on the
 (theta, epsilon) sweep K >= J for eps <= eps', with K = J at theta = 0.
 
 The drivers read the entropy ledger of ``quantifiers``: S(rho) and S(rho_q)
-once per epsilon from the theta = 0 member, H(p) and H(p_q) from a stack of
-the rotated members' computational-basis weights p.
+once per epsilon from the theta = 0 member, H(p) and H(p_q) from the rotated
+members' computational-basis weights p: one contraction of that member's Pauli
+tensor (the kernel of ``search``), with no rotated member built.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import dephased_probs
 from .errors import BadParams, NoRootBracketed
 from .quantifiers import (
     _dephased_entropies,
@@ -31,8 +31,8 @@ from .quantifiers import (
     _state_entropies,
     closest_classical,
 )
-from .search import OptimizerConfig
-from .states import mdms
+from .search import OptimizerConfig, _bloch_axes, _outcome_rows, pauli_tensor
+from .states import DensityMatrix, mdms
 
 SCAN_COLUMNS = ("T", "C", "C_L", "C_M", "K", "M", "D", "J", "L")
 CSV_HEADER = ("theta", "epsilon") + SCAN_COLUMNS
@@ -54,22 +54,28 @@ class ScanTable:
                 raise BadParams(f"column {name} has shape {values.shape}, expected {(nt, ne)}")
 
 
-def _dephased_row(eps: float, thetas: np.ndarray):
-    """H(p) and sum_q H(p_q) of ``mdms(eps, theta, 0)`` per theta, computational basis."""
-    probs = np.array([dephased_probs(mdms(eps, float(t), 0.0)) for t in thetas])
-    return _dephased_entropies(probs, (2, 2))
+def _dephased_row(state: DensityMatrix, thetas_a: np.ndarray, thetas_b: np.ndarray):
+    """H(p) and sum_q H(p_q) of a two-qubit ``state`` turned by U(t_a, 0) x U(t_b, 0).
+
+    One value per angle pair, computational basis.  The turned state's weights
+    are ``state``'s in the basis U(t, 0)^dagger = U(-t, 0) of each qubit: its
+    Pauli tensor contracted with the outcome rows of those Bloch axes.
+    """
+    rows = [_outcome_rows(_bloch_axes(-t, 0.0)) for t in (thetas_a, thetas_b)]
+    probs = np.einsum("kam,mn,kbn->kab", rows[0], pauli_tensor(state.matrix), rows[1])
+    return _dephased_entropies(probs.reshape(len(probs), 4), (2, 2))
 
 
 def _row_values(eps: float, thetas: np.ndarray, cfg: OptimizerConfig) -> dict:
     """The ``SCAN_COLUMNS`` of ``mdms(eps, theta, 0)`` along ``thetas``.
 
-    The rotation is a local unitary, so S(rho), sum_q S(rho_q) and the
-    closest-classical search (D, J and L) come once from the theta = 0
-    member; each theta adds only its dephased weights.
+    The rotation is a local unitary, so S(rho), sum_q S(rho_q), the
+    closest-classical search (D, J and L) and, through its Pauli tensor,
+    every theta's dephased weights come from the theta = 0 member.
     """
     member = mdms(eps, 0.0, 0.0)
     cc = closest_classical(member, cfg)
-    row = _fixed_basis_values(*_state_entropies(member), *_dephased_row(eps, thetas))
+    row = _fixed_basis_values(*_state_entropies(member), *_dephased_row(member, thetas, thetas))
     return {**row, "D": cc.discord, "J": cc.classical_correlations, "L": cc.excess}
 
 
@@ -85,9 +91,9 @@ def scan_mdms(
     family and K vary along theta.  The member at theta is the theta = 0
     member under a local unitary, which leaves S(rho), S(rho_q), T, D, J and
     L invariant; so each epsilon row runs one basis search and one set of
-    eigendecompositions at theta = 0 and shares them across the row, and each
-    theta adds only the entropies of its dephased weights.  The tests check
-    that invariance against independent evaluations of rotated members.
+    eigendecompositions at theta = 0 and shares them across the row, and the
+    row's dephased weights are one contraction of that member's Pauli tensor.
+    The tests check the row against explicitly built rotated members.
     """
     from . import __version__
 
@@ -186,20 +192,20 @@ def _first_root(f: Callable[[float], float], tol: float) -> tuple[float, tuple[f
 def _angle_curvature(eps: float, theta0: float) -> float:
     """Central second difference in theta of the dephased-state entropy."""
     step = 1e-4
-    h = _dephased_row(eps, np.array([theta0 - step, theta0, theta0 + step]))[0]
+    stencil = np.array([theta0 - step, theta0, theta0 + step])
+    h = _dephased_row(mdms(eps), stencil, stencil)[0]
     return (h[2] - 2 * h[1] + h[0]) / step**2
 
 
 def find_thresholds(
     method: str = "basis-switch",
     cfg: OptimizerConfig | None = None,
-    tol: float = 1e-6,
 ) -> ThresholdResult:
     """Locate both epsilon thresholds of the family.
 
     Both methods find the first sign change of a signed function of epsilon
-    on one grid and bisect it.  ``basis-switch`` reads the largest polar
-    angle of the unrotated member's argmin basis: eps' is where it first
+    on one grid and bisect it to 1e-6.  ``basis-switch`` reads the largest
+    polar angle of the unrotated member's argmin basis: eps' is where it first
     exceeds ``SWITCH_DELTA`` (the basis departs from computational), eps''
     where it first exceeds pi/4 - ``SWITCH_DELTA`` (it reaches the x basis).
     ``derivative`` takes the second angle-derivative of the dephased-state
@@ -229,8 +235,8 @@ def find_thresholds(
     else:
         raise BadParams(f"unknown threshold method {method!r}")
 
-    eps_prime, bracket1 = _first_root(first, tol)
-    eps_dprime, bracket2 = _first_root(second, tol)
+    eps_prime, bracket1 = _first_root(first, 1e-6)
+    eps_dprime, bracket2 = _first_root(second, 1e-6)
     if method == "basis-switch":
         residuals = {"switch_delta": SWITCH_DELTA}
     else:

@@ -13,11 +13,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .linalg import kron, qubit_unitary
-from .mdms import find_thresholds, scan_mdms
-from .quantifiers import closest_classical, full_report, irreducible_classical
+from .mdms import _dephased_row, find_thresholds, scan_mdms
+from .quantifiers import closest_classical, full_report
 from .search import OptimizerConfig
-from .states import DensityMatrix, mdms, preset
+from .states import mdms, preset
 
 X_BASIS_THETA_TOL = 0.02
 
@@ -118,17 +117,6 @@ def check_thresholds(cfg: OptimizerConfig) -> list[VerifyRow]:
     ]
 
 
-def _counter_rotated_k(thetas: np.ndarray, epsilon: float) -> np.ndarray:
-    """K of ``mdms(epsilon)`` conjugated by ``U(t, 0) x U(t, 0)^dagger``, per t."""
-    base = mdms(epsilon).matrix
-    values = []
-    for t in thetas:
-        u = qubit_unitary(float(t), 0.0)
-        w = kron(u, u.conj().T)
-        values.append(irreducible_classical(DensityMatrix((2, 2), w @ base @ w.conj().T)))
-    return np.array(values)
-
-
 def check_scan_structure(cfg: OptimizerConfig) -> list[VerifyRow]:
     """Ordering claims across the default 65 x 101 sweep.
 
@@ -138,11 +126,12 @@ def check_scan_structure(cfg: OptimizerConfig) -> list[VerifyRow]:
     theta = pi/4 and M minimal at theta = 0 in every epsilon row.
 
     The sweep's real rotation O x O leaves Phi+ invariant, and below eps' the
-    argmin basis at theta = 0 is computational, so there K(0) = J exactly and
-    K - J never turns negative along theta.  The negative sign shows on the
-    counter-rotation O x O^T of the same member: up to a relabelling of qubit
-    B's computational basis, which leaves K unchanged, that is the symmetric
-    rotation of eps |Psi+><Psi+| + (1-eps) |11><11|.
+    argmin basis at theta = 0 is computational, so there K(0) = J to rounding
+    and K - J never turns negative along theta.  The negative sign shows on the
+    counter-rotation O x O^T of the same member, read from its weights with
+    qubit B's angle negated: up to a relabelling of qubit B's computational
+    basis, which leaves K unchanged, that is the symmetric rotation of
+    eps |Psi+><Psi+| + (1-eps) |11><11|.
     """
     g = "scan"
     table = scan_mdms(65, 101, cfg)
@@ -172,7 +161,8 @@ def check_scan_structure(cfg: OptimizerConfig) -> list[VerifyRow]:
                 "max",
             )
         )
-        counter = _counter_rotated_k(table.thetas, float(eps[je])) - j[:, je]
+        h, h_q = _dephased_row(mdms(float(eps[je])), table.thetas, -table.thetas)
+        counter = h_q - h - j[:, je]
         rows.append(
             _bound_row(
                 g,

@@ -1,9 +1,10 @@
 """Shared generators and the independent grid oracle used by the tests.
 
-The oracle evaluates dephased-state entropies through a Pauli/Bloch
-decomposition, a completely different computational path from the package's
-basis-vector cascade, so optimizer results are checked against genuinely
-independent numbers.
+The oracle evaluates dephased-state entropies in the Bloch form of a two-qubit
+state: separate code from the package's Pauli-tensor search, with its own
+grid and polish.  Acceptance criterion 6 compares it with S(chi) of the
+package's argmin, measured by explicit dephasing and diagonalisation rather
+than read from the search.
 """
 
 from __future__ import annotations

@@ -1,15 +1,16 @@
 """The product-basis search against closed-form optima.
 
 Each oracle is plain numpy: the exact discord and classical correlations of
-Bell-diagonal states (Modi et al., PRL 104, 080501, 2010), D = 1 for GHZ(4),
-and D = 0 for classical states under local unitaries, near the computational
-basis included.
+Bell-diagonal states (Modi et al., PRL 104, 080501, 2010), D = J = S(rho_A)
+and L = 0 for pure two-qubit states, near-product ones included, D = 1 for
+GHZ(4), and D = 0 for classical states under local unitaries, near the
+computational basis included.
 """
 
 import numpy as np
 import pytest
 
-from conftest import PAULIS, random_unitary
+from conftest import PAULIS, random_pure_state, random_unitary
 from hookup import DensityMatrix, closest_classical, preset, qubit_unitary
 
 # Bell states Phi+, Phi-, Psi+, Psi- as correlation vectors (c_x, c_y, c_z) of
@@ -38,6 +39,28 @@ def test_bell_diagonal_discord_and_classical_correlations(seed):
     cc = closest_classical(DensityMatrix((2, 2), matrix))
     assert abs(cc.discord - (1 + h - shannon(weights))) <= 1e-6
     assert abs(cc.classical_correlations - (1 - h)) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_pure_state_discord_is_the_entanglement_entropy(seed):
+    # The closest classical state of a pure state is its dephasing in the
+    # Schmidt basis, so D = J = S(rho_A) and L = 0.  Every third state lies
+    # within 1e-3 of a product state, where Schmidt weights approach 0.
+    rng = np.random.default_rng(4300 + seed)
+    if seed % 3:
+        state = random_pure_state(rng, (2, 2))
+    else:
+        a, b = (random_unitary(rng, 2)[:, 0] for _ in range(2))
+        kick = rng.normal(size=4) + 1j * rng.normal(size=4)
+        v = np.kron(a, b) + 10 ** rng.uniform(-6, -3.5) * kick / np.linalg.norm(kick)
+        v /= np.linalg.norm(v)
+        state = DensityMatrix((2, 2), np.outer(v, v.conj()))
+    s_a = shannon(np.linalg.eigvalsh(np.einsum("ajbj->ab", state.matrix.reshape(2, 2, 2, 2))))
+
+    cc = closest_classical(state)
+    assert abs(cc.discord - s_a) <= 1e-8
+    assert abs(cc.classical_correlations - s_a) <= 1e-8
+    assert abs(cc.excess) <= 1e-8
 
 
 def test_ghz4_discord_is_one():

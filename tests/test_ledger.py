@@ -24,6 +24,7 @@ from hookup import (
     total_correlations,
 )
 from hookup import linalg
+from hookup import mdms as hookup_mdms
 from hookup.mdms import compare_jk, find_thresholds, scan_mdms
 from hookup.states import load, mdms
 
@@ -83,21 +84,26 @@ def test_scan_cells_match_per_state_functions():
 
 
 def test_scan_eigendecompositions_do_not_grow_with_theta(monkeypatch):
-    # S(rho) and S(rho_q) are shared along theta, so a finer theta grid adds
-    # dephased weights but no eigendecomposition.
+    # S(rho) and S(rho_q) are shared along theta, and every theta's dephased
+    # weights come from the theta = 0 member's Pauli tensor, so a finer theta
+    # grid adds neither an eigendecomposition nor a built member.
     calls = []
-    counted = linalg.hermitian_eig
+    counted = {"eigh": linalg.hermitian_eig, "mdms": hookup_mdms.mdms}
 
-    def counting(m):
-        calls.append(1)
-        return counted(m)
+    def counting(name):
+        def call(*args):
+            calls.append(name)
+            return counted[name](*args)
 
-    monkeypatch.setattr(linalg, "hermitian_eig", counting)
+        return call
+
+    monkeypatch.setattr(linalg, "hermitian_eig", counting("eigh"))
+    monkeypatch.setattr(hookup_mdms, "mdms", counting("mdms"))
     counts = []
     for theta_points in (9, 17):
         calls.clear()
         scan_mdms(theta_points, 3, FAST)
-        counts.append(len(calls))
+        counts.append((calls.count("eigh"), calls.count("mdms")))
     assert counts[0] == counts[1]
 
 

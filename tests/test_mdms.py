@@ -4,13 +4,17 @@ import pytest
 
 from hookup import (
     BadParams,
+    DensityMatrix,
     NoRootBracketed,
     OptimizerConfig,
     closest_classical,
+    irreducible_classical,
+    qubit_unitary,
     total_correlations,
 )
 from hookup.mdms import (
     ScanTable,
+    _dephased_row,
     _first_root,
     compare_jk,
     find_thresholds,
@@ -173,6 +177,20 @@ class TestFirstRoot:
         root, bracket = _first_root(lambda eps: (eps - low) * (0.5 - eps), 1e-8)
         assert abs(root - 0.5) <= 1e-8
         assert bracket == (EPS_GRID[9], EPS_GRID[10])
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+def test_counter_rotated_row_matches_built_members(eps):
+    # U(t, 0) x U(-t, 0) = U(t, 0) x U(t, 0)^dagger, the counter-rotation
+    # behind verify's negative K - J row, against members built explicitly.
+    state = mdms(eps)
+    thetas = np.linspace(0.0, np.pi / 4, 65)
+    h, h_q = _dephased_row(state, thetas, -thetas)
+    for t, k in zip(thetas, h_q - h):
+        u = qubit_unitary(float(t), 0.0)
+        w = np.kron(u, u.conj().T)
+        member = DensityMatrix((2, 2), w @ state.matrix @ w.conj().T)
+        assert abs(k - irreducible_classical(member)) <= 1e-12
 
 
 class TestCompareJk:
