@@ -20,9 +20,8 @@ seeding takes values within ``_SEED_TIE`` of the minimum first, by cell index,
 so the computational basis (cell 0) is refined whenever it is tied.  Grid
 options are the Bloch axes (-sin 2theta cos phi, sin 2theta sin phi, cos
 2theta) of ``qubit_unitary(theta, phi)``'s first column over ``angle_axes``,
-theta-major; only the first option of each distinct basis is kept, in order,
-so the grid holds one cell per distinct product basis and the starts leave the
-pole saddle.
+one per distinct basis (``_grid_axes``), so the grid holds one cell per
+distinct product basis and the starts leave the pole saddle.
 """
 
 from __future__ import annotations
@@ -227,17 +226,17 @@ def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     return np.stack([-s * np.cos(phis), s * np.sin(phis), np.cos(2 * thetas)], axis=-1)
 
 
-def _first_options(options: np.ndarray) -> np.ndarray:
-    """Mask of the grid options that are the first to give their basis.
+def _grid_axes(pts: int) -> np.ndarray:
+    """One grid axis per distinct basis: the computational one, then theta-major.
 
-    An option's basis is its projector axis pair {n, -n}, keyed by n n^T; so
-    every theta in {0, pi/2} gives option 0's basis, the computational one, and
-    (pts - 2) * pts + 1 of the pts^2 options remain for odd pts.  For even pts
-    phi + pi is on the grid too, and (pi/2 - theta, phi + pi) gives the pair of
-    (theta, phi), so (pts - 2) * pts / 2 + 1 remain.
+    Every theta in {0, pi/2} gives the computational basis, and for even pts
+    (pi/2 - theta, phi + pi) gives that of (theta, phi), so thetas 1..pts/2-1
+    remain, (pts - 2) * pts / 2 + 1 axes; odd pts keep 1..pts-2 over every phi.
     """
-    key = np.round(options[:, :, None] * options[:, None, :], 9).reshape(len(options), 9) + 0.0
-    return np.isin(np.arange(len(options)), np.unique(key, axis=0, return_index=True)[1])
+    thetas, phis = angle_axes(pts)
+    stop = pts - 1 if pts % 2 else pts // 2
+    rest = _bloch_axes(*np.meshgrid(thetas[1:stop], phis, indexing="ij")).reshape(-1, 3)
+    return np.concatenate([_bloch_axes(thetas[:1], phis[:1]), rest])
 
 
 def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:
@@ -261,31 +260,26 @@ def minimize_over_product_bases(
     ``objective(axes)`` takes unit axes, shape (n_qubits, 3), and returns
     ``(value, gradient)`` with the gradient in the same shape; only its part
     tangent to the sphere is used.  ``batch(options)`` evaluates the objective
-    on the coarse grid from the (K, 3) distinct grid axes, the first option of
-    each basis with option 0 computational, one value per cell with qubit 0
+    on the coarse grid from the (K, 3) grid axes, one per distinct basis with
+    option 0 computational (``_grid_axes``), one value per cell with qubit 0
     most significant (the layout of ``joint_dephased_entropies``).  The best
     ``multistarts`` cells seed L-BFGS-B refinements of ``objective`` over
     unnormalised Bloch vectors, and the best refined or seed value wins.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
-    options = _bloch_axes(*np.meshgrid(*angle_axes(pts), indexing="ij")).reshape(-1, 3)
-    options = options[_first_options(options)]
+    options = _grid_axes(pts)
     values = np.asarray(batch(options), dtype=float).ravel()
 
     ncells = values.size
     n_starts = min(cfg.multistarts, ncells)
-    # Cells within _SEED_TIE of the grid minimum are tied and go first, by cell
-    # index, so the computational basis (cell 0) seeds every tie it is in.  The
-    # rest follow in (value, index) order from every cell up to the pool-th
-    # smallest value, a pool several times the start count; whole tie classes
-    # enter, so their own exact ties are ordered by index whatever the layout.
+    # One stable order of the cells up to the n_starts-th smallest value: cells
+    # within _SEED_TIE of the grid minimum share the key ``low`` and go first by
+    # index, so the computational basis (cell 0) seeds every tie it is in; the
+    # rest go by value, exact ties (whole classes enter) by index.
     low = values.min() + _SEED_TIE
-    pool = min(ncells, max(8 * n_starts, 64))
-    cut = np.partition(values, pool - 1)[pool - 1]
-    part = np.flatnonzero((values > low) & (values <= cut))
-    seeds = np.concatenate([np.flatnonzero(values <= low), part[np.lexsort((part, values[part]))]])
-    seeds = seeds[:n_starts]
+    pool = np.flatnonzero(values <= max(low, np.partition(values, n_starts - 1)[n_starts - 1]))
+    seeds = pool[np.argsort(np.maximum(values[pool], low), kind="stable")][:n_starts]
 
     def on_sphere(x):
         v = x.reshape(n_qubits, 3)

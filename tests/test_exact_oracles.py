@@ -4,13 +4,22 @@ Each oracle is plain numpy: the exact discord and classical correlations of
 Bell-diagonal states (Modi et al., PRL 104, 080501, 2010), D = J = S(rho_A)
 and L = 0 for pure two-qubit states, near-product ones included, D = 1 for
 GHZ(4), and D = 0 for classical states under local unitaries, near the
-computational basis included.
+computational basis included.  The ``mdms`` family is checked against a
+symmetry-reduced grid oracle over three angles with a local polish.
 """
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
-from conftest import PAULIS, random_pure_state, random_unitary
+from conftest import (
+    PAULIS,
+    _bloch_entropy,
+    bloch_axes,
+    bloch_form,
+    random_pure_state,
+    random_unitary,
+)
 from hookup import DensityMatrix, closest_classical, preset, qubit_unitary
 
 # Bell states Phi+, Phi-, Psi+, Psi- as correlation vectors (c_x, c_y, c_z) of
@@ -90,3 +99,54 @@ def test_classical_state_near_the_pole_has_no_discord(n_qubits, seed):
         u = np.kron(u, random_unitary(rng, 2))
     state = DensityMatrix((2,) * n_qubits, u @ np.diag(weights) @ u.conj().T)
     assert closest_classical(state).discord <= 1e-6
+
+
+def reduced_min_dephased_entropy(matrix: np.ndarray) -> float:
+    """Minimum dephased entropy of a two-qubit state invariant under Rz(phi) x Rz(-phi).
+
+    The invariance fixes qubit A's azimuth at 0, leaving theta_A, theta_B and
+    phi_B: a 129 x (129 x 128) grid in the Bloch form, then one Nelder-Mead
+    polish from its minimum.
+    """
+    a, b, corr = bloch_form(matrix)
+    thetas = np.linspace(0, np.pi / 2, 129)
+    tt, pp = np.meshgrid(thetas, np.linspace(0, 2 * np.pi, 128, endpoint=False), indexing="ij")
+    grid_b = np.stack([tt.ravel(), pp.ravel()], axis=-1)
+    axes_b = bloch_axes(grid_b[:, 0], grid_b[:, 1])
+    values = np.array(
+        [_bloch_entropy(n @ a, axes_b @ b, n @ corr @ axes_b.T) for n in bloch_axes(thetas, 0.0)]
+    )
+    i, j = np.unravel_index(values.argmin(), values.shape)
+
+    def objective(x):
+        n, m = bloch_axes(x[0], 0.0), bloch_axes(x[1], x[2])
+        return float(_bloch_entropy(n @ a, m @ b, n @ corr @ m))
+
+    x0 = [thetas[i], *grid_b[j]]
+    result = minimize(objective, x0, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-15})
+    return min(float(values[i, j]), float(result.fun))
+
+
+# Just below eps'' the search returns the x basis though a joint turn of both
+# polar angles lies up to 6.2e-6 lower.
+BUG_WINDOW = pytest.mark.xfail(
+    strict=True,
+    reason="known wrong minimum just below eps'': all starts sit on the Rz(phi) x Rz(-phi) "
+    "orbit of the x basis; seeding distinct basins (ROADMAP.md Direction 1) mends it",
+)
+
+
+@pytest.mark.parametrize(
+    "epsilon",
+    [0.3, 0.6, 0.66, 0.6667, 0.67, 0.7, 0.75, 0.7605, 0.7616, 0.77, 0.9]
+    + [pytest.param(e, marks=BUG_WINDOW) for e in (0.7608, 0.7610, 0.7612, 0.7614)],
+)
+def test_mdms_family_matches_reduced_oracle(epsilon):
+    state = preset("mdms", epsilon=epsilon)
+    # The reduction rests on invariance under Rz(phi) x Rz(-phi), diagonal
+    # (1, e^-i phi, e^i phi, 1).
+    rz = np.diag(np.exp(0.7j * np.array([0, -1, 1, 0])))
+    assert np.allclose(rz @ state.matrix @ rz.conj().T, state.matrix, rtol=0, atol=1e-15)
+    entropy = shannon(np.linalg.eigvalsh(state.matrix))
+    oracle = reduced_min_dephased_entropy(state.matrix) - entropy
+    assert abs(closest_classical(state).discord - oracle) <= 1e-9

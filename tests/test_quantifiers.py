@@ -182,6 +182,22 @@ class TestClosestClassical:
             assert_computational(closest_classical(preset("ghz", n=n), cfg).basis)
 
 
+def check_bounds_and_covariance(seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, (2, 2))
+    d = discord(state, FAST)
+    g = global_discord(state, FAST)
+    for _ in range(5):
+        basis = random_product_basis(rng, (2, 2))
+        assert d <= coherence(state, basis) + 1e-8
+        assert g <= multipartite_coherence(state, basis) + 1e-8
+    # Unitary covariance: rotating by a product unitary leaves D unchanged.
+    pairs = random_angle_pairs(rng, 2)
+    v = basis_from_angles(pairs).matrix()
+    rotated = DensityMatrix((2, 2), v @ state.matrix @ v.conj().T)
+    assert abs(discord(rotated, FAST) - d) <= 1e-6
+
+
 class TestOptimizedQuantifiers:
     def test_discord_classical_zero(self):
         state = DensityMatrix((2, 2), np.diag([0.4, 0.3, 0.2, 0.1]))
@@ -223,19 +239,16 @@ class TestOptimizedQuantifiers:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=8, deadline=None)
     def test_bounds_and_covariance(self, seed):
-        rng = np.random.default_rng(seed)
-        state = random_state(rng, (2, 2))
-        d = discord(state, FAST)
-        g = global_discord(state, FAST)
-        for _ in range(5):
-            basis = random_product_basis(rng, (2, 2))
-            assert d <= coherence(state, basis) + 1e-8
-            assert g <= multipartite_coherence(state, basis) + 1e-8
-        # Unitary covariance: rotating by a product unitary leaves D unchanged.
-        pairs = random_angle_pairs(rng, 2)
-        v = basis_from_angles(pairs).matrix()
-        rotated = DensityMatrix((2, 2), v @ state.matrix @ v.conj().T)
-        assert abs(discord(rotated, FAST) - d) <= 1e-6
+        check_bounds_and_covariance(seed)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known wrong minimum at FAST: all 4 starts land in the worse of two basins "
+        "(|dD| 3.2e-4 and 2.0e-3); seeding distinct basins (ROADMAP.md Direction 1) mends it",
+    )
+    @pytest.mark.parametrize("seed", [862, 1715])
+    def test_bounds_and_covariance_with_two_basins(self, seed):
+        check_bounds_and_covariance(seed)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 2, 2)]))
     @settings(max_examples=6, deadline=None)
@@ -476,11 +489,12 @@ class TestMinimizeOverProductBases:
         for a in result.angles:
             assert abs(a.theta - math.pi / 4) <= 0.02
 
-    @pytest.mark.parametrize("points", [3, 4, 5, 7, 9, 10, 13, 16, 17])
+    @pytest.mark.parametrize("points", [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 16, 17, 48, 49])
     def test_batch_receives_one_axis_per_distinct_basis(self, points):
-        # The grid drops every option whose basis an earlier option already
-        # gives: all theta in {0, pi/2} are the computational basis, and for
-        # even points (pi/2 - theta, phi + pi) gives the basis of (theta, phi).
+        # The grid holds one option per basis of the full grid: all theta in
+        # {0, pi/2} are the computational basis, and for even points
+        # (pi/2 - theta, phi + pi) gives the basis of (theta, phi).  A request
+        # for 2 points runs at 3.
         received = []
 
         def batch(options):
@@ -488,14 +502,18 @@ class TestMinimizeOverProductBases:
             return np.zeros(len(options) ** 2)
 
         cfg = OptimizerConfig(grid_points=points, multistarts=1, max_iter=1)
-        minimize_over_product_bases(lambda axes: (0.0, np.zeros((2, 3))), 2, cfg, batch=batch)
+        result = minimize_over_product_bases(
+            lambda axes: (0.0, np.zeros((2, 3))), 2, cfg, batch=batch
+        )
         (rows,) = received
-        assert rows.shape == ((points - 2) * points // (2 - points % 2) + 1, 3)
+        pts = result.grid_points
+        assert pts == max(3, points)
+        assert rows.shape == ((pts - 2) * pts // (2 - pts % 2) + 1, 3)
         assert np.array_equal(rows[0], [0.0, 0.0, 1.0])
         # Two unit axes give one basis exactly when n = +-m, i.e. |n . m| = 1.
         overlaps = np.abs(rows @ rows.T)
         assert np.all(overlaps[~np.eye(len(rows), dtype=bool)] < 1 - 1e-9)
-        assert np.all(np.abs(grid_options(points) @ rows.T).max(axis=1) > 1 - 1e-12)
+        assert np.all(np.abs(grid_options(pts) @ rows.T).max(axis=1) > 1 - 1e-12)
 
     @pytest.mark.parametrize(
         "name, params, points",
@@ -690,9 +708,9 @@ class TestMinimizeOverProductBases:
 
     def test_seed_pool_orders_exact_ties_by_index(self, monkeypatch):
         # Cell 0 is the grid minimum and 68 scattered cells tie exactly at the
-        # second-lowest value, more than the argpartition pool holds beyond
-        # the start count; whatever the layout, the starts after cell 0 must
-        # be the lowest-index tied cells, in index order.
+        # second-lowest value, many more than the start count; whatever the
+        # layout, the starts after cell 0 must be the lowest-index tied cells,
+        # in index order.
         from hookup import search
 
         starts = []
@@ -724,6 +742,35 @@ class TestMinimizeOverProductBases:
             cells = [0, *tied[: cfg.multistarts - 1]]
             expected = [seen[0][list(np.unravel_index(c, (256, 256)))].ravel() for c in cells]
             assert np.array_equal(np.array(starts), np.array(expected)), seed
+
+    def test_near_ties_at_the_grid_minimum_seed_by_index(self, monkeypatch):
+        # Cell 0 sits 5e-13 above the grid minimum, reached at cell 100, and
+        # cell 50 lies between them: all three are within the seeding tie, so
+        # they seed by index (0, 50, 100), not by value; the rest by value.
+        from hookup import search
+
+        starts = []
+
+        def recording(objective, x0, **kwargs):
+            starts.append(np.array(x0))
+            return scipy_minimize(objective, x0, **kwargs)
+
+        scipy_minimize = search.minimize
+        monkeypatch.setattr(search, "minimize", recording)
+        values = 2.0 + np.random.default_rng(0).random(256**2)
+        values[[0, 50, 100]] = [5e-13, 3e-13, 0.0]
+        seen = []
+
+        def batch(options):
+            seen.append(options)
+            return values.reshape(len(options), len(options))
+
+        cfg = OptimizerConfig()
+        minimize_over_product_bases(lambda axes: (0.0, np.zeros_like(axes)), 2, cfg, batch=batch)
+        assert seen[0].shape == (256, 3)
+        cells = [0, 50, 100, *np.argsort(values)[3 : cfg.multistarts]]
+        expected = [seen[0][list(np.unravel_index(c, (256, 256)))].ravel() for c in cells]
+        assert np.array_equal(np.array(starts), np.array(expected))
 
     def test_mdms_just_above_eps_prime_leaves_computational_saddle(self):
         # At eps = 0.672 the computational basis is a saddle of the dephased
