@@ -10,7 +10,7 @@ import time
 
 from . import __version__
 from .channels import basis_from_angles, computational_basis
-from .errors import HookupError, NoConvergence, NoRootBracketed
+from .errors import HookupError, NoConvergence, NoRootBracketed, ParseError
 from .mdms import compare_jk, find_thresholds, scan_mdms, scan_to_csv
 from .quantifiers import full_report
 from .search import OptimizerConfig
@@ -102,7 +102,11 @@ def _parse_floats(flag: str, text: str) -> list[float]:
 def _load_state(args):
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return load(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{args.file} is not UTF-8 text: {exc.reason}") from exc
+        return load(text)
     params = {}
     for key in ("epsilon", "theta", "phi"):
         value = getattr(args, key)

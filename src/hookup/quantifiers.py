@@ -380,16 +380,8 @@ def full_report(
         "hookup_vs_C_plus_K": abs(m - fixed["C"] - fixed["K"]),
     }
 
-    fields = dict(
-        dims=state.dims,
-        reference_basis=ref,
-        total_correlations=fixed["T"],
-        coherence=fixed["C"],
-        local_coherence=fixed["C_L"],
-        multipartite_coherence=fixed["C_M"],
-        irreducible_classical=fixed["K"],
-        hookup=fixed["M"],
-    )
+    fields = {key: fixed[symbol] for key, (symbol, _) in REPORT_LABELS.items() if symbol in fixed}
+    fields.update(dims=state.dims, reference_basis=ref)
     try:
         pauli, grid = _search_inputs(state)
     except (NotAllQubits, TooManyQubits) as exc:

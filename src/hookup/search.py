@@ -13,15 +13,17 @@ refined or grid point wins, ties going to the smallest canonical angle norm
 (the computational basis wins exact ties); repeated runs with one
 configuration are bit-identical.
 
-The grid holds at most ``_CHUNK_BYTES`` of its final, full-size product at a
-time.  Its values differ from a direct evaluation by ulps, and noise must not
-order exact ties at the grid minimum (Bell-state continua, classical states):
-seeding takes values within ``_SEED_TIE`` of the minimum first, by cell index,
-so the computational basis (cell 0) is refined whenever it is tied.  Grid
-options are the Bloch axes (-sin 2theta cos phi, sin 2theta sin phi, cos
-2theta) of ``qubit_unitary(theta, phi)``'s first column over ``angle_axes``,
-one per distinct basis (``_grid_axes``), so the grid holds one cell per
-distinct product basis and the starts leave the pole saddle.
+The grid's peak memory is its (2K)^n weight product plus the K^n result for K
+axes per qubit, which ``GRID_CELL_BUDGET`` caps at about 230 MB (4 qubits at 7
+points: 72^4 + 36^4 doubles).  Its values differ from a direct evaluation by
+ulps, and noise must not order exact ties at the grid minimum (Bell-state
+continua, classical states): seeding takes values within ``_SEED_TIE`` of the
+minimum first, by cell index, so the computational basis (cell 0) is refined
+whenever it is tied.  Grid options are the Bloch axes (-sin 2theta cos phi, sin
+2theta sin phi, cos 2theta) of ``qubit_unitary(theta, phi)``'s first column
+over ``angle_axes``, one per distinct basis (``_grid_axes``), so the grid
+holds one cell per distinct product basis and the starts leave the pole
+saddle.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ _LN2 = math.log(2.0)
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
 GRID_CELL_BUDGET = 6_000_000
-_CHUNK_BYTES = 2.0e8
 # Grid values this close to the grid minimum count as an exact tie when seeding.
 _SEED_TIE = 1e-12
 # L-BFGS-B stops once every gradient component is this small (bits per unit of v).
@@ -166,29 +167,24 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
     candidate Bloch axes of qubit q, shape (K_q, 3).  Returns an array shaped
     ``(K_0, ..., K_{n-1})``.
 
-    The ``_tail`` of qubits n-1..1 meets qubit 0's outcome rows over blocks of
-    qubit-0 candidates of at most ``_CHUNK_BYTES`` each, so peak memory is
-    about 1.5 blocks plus the tail; each block is clipped at 0 and reduced to
-    entropies where it lies, one outcome axis at a time.
+    Qubit 0's outcome rows meet the ``_tail`` of qubits n-1..1 in one product
+    of (2K_0) x ... x (2K_{n-1}) weights, which is clipped at 0 and reduced to
+    entropies where it lies, one outcome axis at a time, so peak memory is
+    that product plus the K_0 x ... x K_{n-1} result.
     """
     rows = [_outcome_rows(a) for a in options]
-    counts = [len(r) for r in rows]
-    t = _tail(pauli, rows)
-    head = rows[0].reshape(-1, 4)
-
-    chunk = max(1, min(counts[0], int(_CHUNK_BYTES // (2 * t.shape[1] * 8))))
-    out = np.empty((counts[0], math.prod(counts[1:])))
-    for lo in range(0, counts[0], chunk):
-        hi = min(counts[0], lo + chunk)
-        # Axes (o_0, s_0, o_1, s_1, ...); each pass sums away the next s_q.
-        p = head[2 * lo : 2 * hi] @ t
-        np.maximum(p, 0.0, out=p)
-        xlogy(p, p, out=p)
-        for q in range(len(counts)):
-            slabs = p.reshape((hi - lo) * math.prod(counts[1 : q + 1]), 2, -1)
-            p = slabs[:, 0] + slabs[:, 1]
-        out[lo:hi] = p.reshape(hi - lo, -1)
-    return (-out / _LN2).reshape(counts)
+    shape = [m for r in rows for m in (len(r), 2)]
+    p = (rows[0].reshape(-1, 4) @ _tail(pauli, rows)).reshape(shape)
+    np.maximum(p, 0.0, out=p)
+    xlogy(p, p, out=p)
+    # Sum each outcome axis s_q into its s_q = 0 half, in place; the last one
+    # into a fresh, contiguous result.
+    for q in range(len(rows) - 1):
+        lead = (slice(None),) * (q + 1)
+        p[lead + (0,)] += p[lead + (1,)]
+        p = p[lead + (0,)]
+    p = p[..., 0] + p[..., 1]
+    return np.divide(p, -_LN2, out=p)
 
 
 def split_entropy(x):

@@ -235,9 +235,9 @@ def mdms(epsilon: float, theta: float = 0.0, phi: float = 0.0) -> DensityMatrix:
 
 def ghz(n: int = 3) -> DensityMatrix:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    n = int(n)
-    if not 2 <= n <= 6:
+    if not 2 <= n <= 6 or n != int(n):
         raise BadParams(f"ghz preset supports 2..6 qubits, got {n}")
+    n = int(n)
     dims = (2,) * n
     v = (_ket([0] * n, dims) + _ket([1] * n, dims)) / math.sqrt(2)
     return DensityMatrix(dims, _proj(v))
@@ -288,7 +288,7 @@ def preset(name: str, **params) -> DensityMatrix:
         )
     try:
         return _PRESETS[name](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadParams(f"bad parameters for preset {name!r}: {exc}") from exc
 
 

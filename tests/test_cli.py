@@ -105,13 +105,26 @@ class TestCompute:
         assert "Traceback" not in err
         assert out == ""
 
-    def test_non_string_preset_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "content, fragment",
+        [
+            (b'{"preset": ["bell"]}', "preset"),
+            (b'{"preset": "ghz", "n": "x"}', "ghz"),
+            (b'{"preset": "ghz", "n": 2.5}', "ghz"),
+            (b'{"preset": "diagonal", "probs": "ab"}', "diagonal"),
+            (b'{"preset": "diagonal", "probs": [0.5, 0.5], "dims": "ab"}', "diagonal"),
+            (b'{"preset": "caf\xe9"}', "UTF-8"),
+        ],
+        ids=["non-string-preset", "ghz-n-text", "ghz-n-fraction", "probs-text", "dims-text",
+             "latin-1"],
+    )
+    def test_bad_preset_file_exit_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "preset.json"
-        path.write_text(json.dumps({"preset": ["bell"]}))
+        path.write_bytes(content)
         code, out, err = run(capsys, "compute", "--file", str(path))
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "preset" in err
+        assert fragment in err
         assert out == ""
 
     @pytest.mark.parametrize(

@@ -584,31 +584,25 @@ class TestMinimizeOverProductBases:
             direct = von_neumann_entropy(dephase(state, basis_from_angles(pairs)))
             assert abs(grid[cell] - direct) <= 1e-12
 
-    def test_chunked_grid_equals_single_chunk(self, monkeypatch):
-        # Blocks over the first qubit's candidates must reproduce the one-block
-        # grid exactly, including a ragged last block.
-        from scipy.special import xlogy
+    def test_grid_peak_memory_is_product_plus_result(self):
+        # The outcome axes are summed away inside the one (2K)^n weight
+        # product, so the only other large buffer is the K^n result.
+        import tracemalloc
 
         from hookup import search
 
         state = random_state(np.random.default_rng(14), (2, 2, 2))
         pauli = search.pauli_tensor(state.matrix)
-        options = [grid_options(k) for k in (5, 3, 3)]
-        whole = search.joint_dephased_entropies(pauli, options)
-
-        blocks = []
-
-        def counting_xlogy(x, y, out=None):
-            blocks.append(x.shape[0])
-            return xlogy(x, y, out=out)
-
-        monkeypatch.setattr(search, "xlogy", counting_xlogy)
-        # Room for 4 of the 25 first-qubit candidates per block: each takes
-        # 2 outcomes x (9 x 2)^2 real weights of 8 bytes.
-        monkeypatch.setattr(search, "_CHUNK_BYTES", 4 * 2 * 18**2 * 8)
-        chunked = search.joint_dephased_entropies(pauli, options)
-        assert blocks == [8] * 6 + [2]
-        assert np.array_equal(chunked, whole)
+        options = [search._grid_axes(9)] * 3
+        k = len(options[0])
+        tracemalloc.start()
+        try:
+            search.joint_dephased_entropies(pauli, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 64
+        assert peak <= 1.1 * ((2 * k) ** 3 + k**3) * 8
 
     def test_grid_mapping_finds_isolated_cell(self):
         # An objective that is 0 only in a tiny ball around one exact grid
