@@ -13,17 +13,17 @@ refined or grid point wins, ties going to the smallest canonical angle norm
 (the computational basis wins exact ties); repeated runs with one
 configuration are bit-identical.
 
-The grid's peak memory is its (2K)^n weight product plus the K^n result for K
-axes per qubit, which ``GRID_CELL_BUDGET`` caps at about 230 MB (4 qubits at 7
-points: 72^4 + 36^4 doubles).  Its values differ from a direct evaluation by
-ulps, and noise must not order exact ties at the grid minimum (Bell-state
-continua, classical states): seeding takes values within ``_SEED_TIE`` of the
-minimum first, by cell index, so the computational basis (cell 0) is refined
-whenever it is tied.  Grid options are the Bloch axes (-sin 2theta cos phi, sin
-2theta sin phi, cos 2theta) of ``qubit_unitary(theta, phi)``'s first column
-over ``angle_axes``, one per distinct basis (``_grid_axes``), so the grid
-holds one cell per distinct product basis and the starts leave the pole
-saddle.
+The grid runs in blocks of qubit 0's axes: for K axes per qubit its peak memory
+is the K^n result, the 4 (2K)^(n-1) tail and two blocks (weights and logs),
+about 37 MB at the largest grid ``GRID_CELL_BUDGET`` allows (4 qubits at 7
+points).  Its values differ from a direct evaluation by ulps, and noise must
+not order exact ties at the grid minimum (Bell-state continua, classical
+states): seeding takes values within ``_SEED_TIE`` of the minimum first, by
+cell index, so the computational basis (cell 0) is refined whenever it is tied.
+Grid options are the Bloch axes (-sin 2theta cos phi, sin 2theta sin phi, cos
+2theta) of ``qubit_unitary(theta, phi)``'s first column over ``angle_axes``,
+one per distinct basis (``_grid_axes``), so the grid holds one cell per
+distinct product basis and the starts leave the pole saddle.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from .channels import QubitBasisAngles, axis_angles
 from .errors import BadParams
@@ -43,6 +42,10 @@ _LN2 = math.log(2.0)
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
 GRID_CELL_BUDGET = 6_000_000
+# Tail entries times qubit-0 options per grid block, so a block's weights and
+# logs fit in L2 (256 KB) unless one option's exceed it.  1 BLAS thread, 4 MiB
+# L2: 2^13..2^17 ran alike, 2.5-3x faster than one product; 2^19 was slower.
+_BLOCK = 2**15
 # Grid values this close to the grid minimum count as an exact tie when seeding.
 _SEED_TIE = 1e-12
 # L-BFGS-B stops once every gradient component is this small (bits per unit of v).
@@ -167,24 +170,29 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
     candidate Bloch axes of qubit q, shape (K_q, 3).  Returns an array shaped
     ``(K_0, ..., K_{n-1})``.
 
-    Qubit 0's outcome rows meet the ``_tail`` of qubits n-1..1 in one product
-    of (2K_0) x ... x (2K_{n-1}) weights, which is clipped at 0 and reduced to
-    entropies where it lies, one outcome axis at a time, so peak memory is
-    that product plus the K_0 x ... x K_{n-1} result.
+    The ``_tail`` of qubits n-1..1 is contracted once.  Each block of qubit 0's
+    options meets it in a product of weights, which is clipped at 0, turned
+    into p ln p and reduced to entropies where it lies, one outcome axis at a
+    time, so peak memory is the result, the tail and two blocks.
     """
     rows = [_outcome_rows(a) for a in options]
-    shape = [m for r in rows for m in (len(r), 2)]
-    p = (rows[0].reshape(-1, 4) @ _tail(pauli, rows)).reshape(shape)
-    np.maximum(p, 0.0, out=p)
-    xlogy(p, p, out=p)
-    # Sum each outcome axis s_q into its s_q = 0 half, in place; the last one
-    # into a fresh, contiguous result.
-    for q in range(len(rows) - 1):
-        lead = (slice(None),) * (q + 1)
-        p[lead + (0,)] += p[lead + (1,)]
-        p = p[lead + (0,)]
-    p = p[..., 0] + p[..., 1]
-    return np.divide(p, -_LN2, out=p)
+    tail = _tail(pauli, rows)
+    shape = [m for r in rows[1:] for m in (len(r), 2)]
+    out = np.empty([len(r) for r in rows])
+    step = max(1, _BLOCK // tail.size)
+    for start in range(0, len(rows[0]), step):
+        p = (rows[0][start : start + step].reshape(-1, 4) @ tail).reshape(-1, 2, *shape)
+        np.maximum(p, 0.0, out=p)
+        log_p = np.maximum(p, np.finfo(float).tiny)
+        p *= np.log(log_p, out=log_p)
+        # Fold each outcome axis into its s_q = 0 half in place, the last into the result.
+        for q in range(len(rows) - 1):
+            lead = (slice(None),) * (q + 1)
+            p[lead + (0,)] += p[lead + (1,)]
+            p = p[lead + (0,)]
+        np.add(p[..., 0], p[..., 1], out=out[start : start + step])
+        del p, log_p  # free this block before the next is formed
+    return np.divide(out, -_LN2, out=out)
 
 
 def split_entropy(x):

@@ -44,6 +44,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
+        if dims != tuple(self.dims):
+            raise BadParams(f"dims must be whole numbers, got {self.dims!r}")
         m = np.array(self.matrix, dtype=complex)
         if not dims or any(d < 2 for d in dims):
             raise DimensionMismatch(f"dims need one or more subsystems, each >= 2, got {dims}")
@@ -266,7 +268,7 @@ def diagonal(probs: Sequence[float], dims: Sequence[int] | None = None) -> Densi
             dims = (2,) * (n.bit_length() - 1)
         else:
             dims = (n,)
-    return DensityMatrix(tuple(int(d) for d in dims), np.diag(p.astype(complex)))
+    return DensityMatrix(dims, np.diag(p.astype(complex)))
 
 
 _PRESETS = {
@@ -288,7 +290,7 @@ def preset(name: str, **params) -> DensityMatrix:
         )
     try:
         return _PRESETS[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadParams(f"bad parameters for preset {name!r}: {exc}") from exc
 
 

@@ -113,10 +113,13 @@ class TestCompute:
             (b'{"preset": "ghz", "n": 2.5}', "ghz"),
             (b'{"preset": "diagonal", "probs": "ab"}', "diagonal"),
             (b'{"preset": "diagonal", "probs": [0.5, 0.5], "dims": "ab"}', "diagonal"),
+            (b'{"preset": "diagonal", "probs": [0.5, 0.5], "dims": [2.7]}', "dims"),
+            (b'{"preset": "diagonal", "probs": [0.5, 0.5], "dims": [Infinity]}', "diagonal"),
+            (b'{"preset": "diagonal", "probs": [0.25, 0.25, 0.25, 0.25], "dims": "22"}', "dims"),
             (b'{"preset": "caf\xe9"}', "UTF-8"),
         ],
         ids=["non-string-preset", "ghz-n-text", "ghz-n-fraction", "probs-text", "dims-text",
-             "latin-1"],
+             "dims-fraction", "dims-infinite", "dims-digit-text", "latin-1"],
     )
     def test_bad_preset_file_exit_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "preset.json"
@@ -126,6 +129,17 @@ class TestCompute:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert fragment in err
         assert out == ""
+
+    def test_whole_float_dims_read_as_integers(self, tmp_path, capsys):
+        # 2.0 names the same subsystem as 2, as ghz accepts n = 3.0.
+        outputs = []
+        for dims in ("[2, 2]", "[2.0, 2.0]"):
+            path = tmp_path / "diagonal.json"
+            path.write_text('{"preset": "diagonal", "probs": [0.4, 0.3, 0.2, 0.1], "dims": %s}' % dims)
+            code, out, err = run(capsys, "compute", "--file", str(path), "--format", "json")
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "argv",

@@ -326,6 +326,47 @@ class TestFullReport:
         assert "hookup" in text
 
 
+def permute_qubits(state, perm):
+    """The state whose qubit q is qubit ``perm[q]`` of ``state``."""
+    n = state.n_parts
+    m = state.matrix.reshape((2,) * 2 * n).transpose(*perm, *(n + p for p in perm))
+    return DensityMatrix(state.dims, m.reshape(state.dim, state.dim))
+
+
+class TestQubitPermutation:
+    # Relabelling the qubits permutes the grid's axes and leaves D, J and L
+    # alone.  Unequal option stacks move the blocks of qubit 0's options onto
+    # another qubit of the state, with another block layout.
+    @pytest.mark.parametrize(
+        "n, points, cfg, seed",
+        [
+            (3, (9, 6, 5), FAST, 0),
+            (3, (9, 6, 5), FAST, 1),
+            (3, (9, 6, 5), FAST, 2),
+            (3, (9, 6, 5), FAST, 3),
+            (4, (5, 5, 5, 5), OptimizerConfig(grid_points=5), 4),
+        ],
+    )
+    def test_permuted_state_has_transposed_grid_and_same_quantifiers(self, n, points, cfg, seed):
+        from hookup.search import _grid_axes, joint_dephased_entropies, pauli_tensor
+
+        rng = np.random.default_rng(seed)
+        state = random_state(rng, (2,) * n)
+        perm = tuple(int(q) for q in rng.permutation(n))
+        assert perm != tuple(range(n))
+        moved = permute_qubits(state, perm)
+        options = [_grid_axes(k) for k in points]
+        grid = joint_dephased_entropies(pauli_tensor(state.matrix), options)
+        moved_grid = joint_dephased_entropies(
+            pauli_tensor(moved.matrix), [options[q] for q in perm]
+        )
+        assert np.max(np.abs(moved_grid - grid.transpose(perm))) <= 1e-12
+        a, b = closest_classical(state, cfg), closest_classical(moved, cfg)
+        assert abs(a.discord - b.discord) <= 1e-9
+        assert abs(a.classical_correlations - b.classical_correlations) <= 1e-9
+        assert abs(a.excess - b.excess) <= 1e-9
+
+
 class TestScaling:
     def test_four_qubit_search_path(self):
         # Exercises the 4-qubit grid contraction and the per-angle budget cap.
@@ -585,8 +626,8 @@ class TestMinimizeOverProductBases:
             assert abs(grid[cell] - direct) <= 1e-12
 
     def test_grid_peak_memory_is_product_plus_result(self):
-        # The outcome axes are summed away inside the one (2K)^n weight
-        # product, so the only other large buffer is the K^n result.
+        # A loose bound: one (2K)^n weight product plus the K^n result.  The
+        # grid is evaluated in blocks and stays far below it (the next test).
         import tracemalloc
 
         from hookup import search
@@ -603,6 +644,67 @@ class TestMinimizeOverProductBases:
             tracemalloc.stop()
         assert k == 64
         assert peak <= 1.1 * ((2 * k) ** 3 + k**3) * 8
+
+    @pytest.mark.parametrize("n, points, k", [(3, 9, 64), (4, 5, 16)])
+    def test_grid_peak_memory_is_result_tail_and_two_blocks(self, n, points, k):
+        # Each block of qubit 0's options is freed before the next is formed,
+        # so besides the K^n result and the tail only a block of weights and
+        # one of their logs are alive; the full (2K)^n product never is.  At
+        # 4 x 5 a third live block would take the peak to 1.2x.
+        import tracemalloc
+
+        from hookup import search
+
+        state = random_state(np.random.default_rng(14), (2,) * n)
+        pauli = search.pauli_tensor(state.matrix)
+        options = [search._grid_axes(points)] * n
+        tail = 4 * (2 * k) ** (n - 1)
+        block = max(1, search._BLOCK // tail) * tail // 2
+        tracemalloc.start()
+        try:
+            search.joint_dephased_entropies(pauli, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(options[0]) == k
+        assert peak <= 1.1 * (k**n + tail + 2 * block) * 8
+
+    @pytest.mark.parametrize(
+        "points, pure, step, blocks",
+        [
+            ((5, 5), False, 256, 1),
+            ((6, 5, 5), False, 8, 2),
+            ((5, 5, 5, 5), False, 1, 16),
+            ((5, 5, 5, 5), True, 1, 16),
+        ],
+        ids=["one-block", "short-last-block", "one-option-blocks", "ghz-rank1"],
+    )
+    def test_blocked_grid_matches_one_product(self, points, pure, step, blocks):
+        # Every cell of the blocked grid against the whole (2K)^n product
+        # through xlogy.  The sizes pin the block layout of the real _BLOCK:
+        # one block, 13 options in blocks of 8, and one option per block; the
+        # GHZ(4) products hold negative and zero weights.
+        from scipy.special import xlogy
+
+        from hookup import search
+
+        n = len(points)
+        state = preset("ghz", n=n) if pure else random_state(np.random.default_rng(15), (2,) * n)
+        pauli = search.pauli_tensor(state.matrix)
+        options = [search._grid_axes(k) for k in points]
+        rows = [search._outcome_rows(a) for a in options]
+        tail = search._tail(pauli, rows)
+        assert max(1, search._BLOCK // tail.size) == step
+        assert -(-len(options[0]) // step) == blocks
+        shape = [m for r in rows for m in (len(r), 2)]
+        p = (rows[0].reshape(-1, 4) @ tail).reshape(shape)
+        if pure:
+            assert p.min() < 0 and np.any(p == 0)
+        p = np.maximum(p, 0.0)
+        want = xlogy(p, p).sum(axis=tuple(range(1, 2 * n, 2))) / -math.log(2)
+        grid = search.joint_dephased_entropies(pauli, options)
+        assert grid.shape == want.shape
+        assert np.max(np.abs(grid - want)) <= 1e-14
 
     def test_grid_mapping_finds_isolated_cell(self):
         # An objective that is 0 only in a tiny ball around one exact grid
