@@ -225,10 +225,7 @@ def main(argv=None) -> int:
     except (NoConvergence, NoRootBracketed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except HookupError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (HookupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -52,7 +52,7 @@ def hermitian_eig(m) -> EigenDecomposition:
     iteration gives up.
     """
     a = as_square(m)
-    if hermiticity_defect(a) > HERMITICITY_TOL:
+    if not hermiticity_defect(a) <= HERMITICITY_TOL:
         raise NonHermitian(
             f"matrix deviates from Hermiticity by {hermiticity_defect(a):.3e}"
         )

@@ -37,8 +37,7 @@ from scipy.optimize import minimize
 
 from .channels import QubitBasisAngles, axis_angles
 from .errors import BadParams
-
-_LN2 = math.log(2.0)
+from .states import _clipped_log2
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
 GRID_CELL_BUDGET = 6_000_000
@@ -172,8 +171,8 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
 
     The ``_tail`` of qubits n-1..1 is contracted once.  Each block of qubit 0's
     options meets it in a product of weights, which is clipped at 0, turned
-    into p ln p and reduced to entropies where it lies, one outcome axis at a
-    time, so peak memory is the result, the tail and two blocks.
+    into p log2 p and reduced to entropies where it lies, one outcome axis at
+    a time, so peak memory is the result, the tail and two blocks.
     """
     rows = [_outcome_rows(a) for a in options]
     tail = _tail(pauli, rows)
@@ -182,23 +181,21 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
     step = max(1, _BLOCK // tail.size)
     for start in range(0, len(rows[0]), step):
         p = (rows[0][start : start + step].reshape(-1, 4) @ tail).reshape(-1, 2, *shape)
-        np.maximum(p, 0.0, out=p)
-        log_p = np.maximum(p, np.finfo(float).tiny)
-        p *= np.log(log_p, out=log_p)
+        p *= _clipped_log2(p)
         # Fold each outcome axis into its s_q = 0 half in place, the last into the result.
         for q in range(len(rows) - 1):
             lead = (slice(None),) * (q + 1)
             p[lead + (0,)] += p[lead + (1,)]
             p = p[lead + (0,)]
         np.add(p[..., 0], p[..., 1], out=out[start : start + step])
-        del p, log_p  # free this block before the next is formed
-    return np.divide(out, -_LN2, out=out)
+        del p  # free this block before the next is formed
+    return np.negative(out, out=out)
 
 
 def split_entropy(x):
     """Entropy in bits of the weights (1 +- x)/2, clipped at 0, and its derivative in x."""
-    p = np.maximum(np.stack([1.0 + x, 1.0 - x]) / 2, 0.0)
-    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    p = np.stack([1.0 + x, 1.0 - x]) / 2
+    log_p = _clipped_log2(p)
     return -(p * log_p).sum(axis=0), (log_p[1] - log_p[0]) / 2
 
 
@@ -207,9 +204,10 @@ def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):
 
     One ``_tail`` contraction with, per qubit, the axis rows and the three
     rows [0, +-e_i/2]; as the weights are multilinear, the combinations that
-    swap one qubit's e_i rows in give dp/dn_{q,i}.  Weights are clipped at 0
-    and zero weights add 0; as sum dp = 0, dS = -sum log2(p) dp.  The gradient
-    is that of the multilinear form, normal part included.
+    swap one qubit's e_i rows in give dp/dn_{q,i}.  Weights are clipped at 0;
+    a zero weight adds 0 to S and takes log2 p = -1022, a finite stand-in for
+    -inf, in dS = -sum log2(p) dp (as sum dp = 0).  The gradient is that of the
+    multilinear form, normal part included.
     """
     n = len(axes)
     rows = np.concatenate(
@@ -219,9 +217,8 @@ def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):
     w = w.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(4**n, 2**n)
     # Option combination 0 is the axes themselves; e_i at qubit q alone is (i + 1) * 4**(n-1-q).
     w = w[np.append(0, (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).ravel())]
-    p = np.maximum(w[0], 0.0)
-    log_p = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return float(-p @ log_p), -(w[1:] @ log_p).reshape(n, 3)
+    log_p = _clipped_log2(w[0])
+    return float(-w[0] @ log_p), -(w[1:] @ log_p).reshape(n, 3)
 
 
 def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:

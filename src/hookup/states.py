@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import xlogy
 
 from . import linalg
 from .errors import (
@@ -31,8 +30,6 @@ MIN_EIG_TOL = 1e-9
 SUPPORT_TOL = 1e-10
 SUPPORT_WEIGHT_TOL = 1e-9
 MAX_TOTAL_DIM = 64
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -132,12 +129,18 @@ def entropy_of_probs(p: np.ndarray):
 
     Clips eigensolver-scale negatives; a stack of vectors gives an array.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.array(p, dtype=float)
     if p.size and float(p.min()) < -MIN_EIG_TOL:
         raise ValidationError(f"probability {p.min():.3e} below -{MIN_EIG_TOL:.0e}")
-    p = np.clip(p, 0.0, None)
-    h = -xlogy(p, p).sum(axis=-1) / _LN2
+    h = -(_clipped_log2(p) * p).sum(axis=-1)
     return float(h) if h.ndim == 0 else h
+
+
+def _clipped_log2(p: np.ndarray) -> np.ndarray:
+    """Clip weights ``p`` at 0 in place; log2(max(p, tiny)), so p log2 p is -0.0 at p = 0."""
+    np.maximum(p, 0.0, out=p)
+    log_p = np.maximum(p, np.finfo(float).tiny)
+    return np.log2(log_p, out=log_p)
 
 
 def von_neumann_entropy(state: DensityMatrix) -> float:
@@ -260,7 +263,7 @@ def diagonal(probs: Sequence[float], dims: Sequence[int] | None = None) -> Densi
     p = np.asarray(probs, dtype=float)
     if p.ndim != 1 or p.size < 2:
         raise BadParams("probs must be a vector of at least two entries")
-    if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+    if np.any(p < -1e-12) or not abs(p.sum() - 1.0) <= 1e-9:
         raise BadParams("probs must be non-negative and sum to 1")
     if dims is None:
         n = p.size

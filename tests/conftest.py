@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import xlogy
 
 from hookup import DensityMatrix, ProductBasis, basis_from_angles
 
@@ -93,7 +92,7 @@ def _bloch_entropy(proj_a, proj_b, cross) -> np.ndarray:
     for sa in (1.0, -1.0):
         for sb in (1.0, -1.0):
             p = np.clip((1 + sa * proj_a + sb * proj_b + sa * sb * cross) / 4, 0.0, None)
-            entropy = entropy - xlogy(p, p) / LN2
+            entropy = entropy - p * np.log(np.maximum(p, np.finfo(float).tiny)) / LN2
     return entropy
 
 

@@ -38,6 +38,14 @@ class TestHermitianEig:
         with pytest.raises(NonHermitian):
             hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
+    def test_rejects_non_finite(self):
+        # A NaN compares False with any bound; the gate must still refuse it.
+        for i, j in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[i, j] = np.nan
+            with pytest.raises(NonHermitian):
+                hermitian_eig(m)
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             hermitian_eig(np.zeros((2, 3)))

@@ -779,6 +779,20 @@ class TestMinimizeOverProductBases:
                             ends.append(objective(moved)[0])
                         assert abs(grad[q] @ t - (ends[0] - ends[1]) / (2 * h)) <= 1e-6
 
+    def test_product_pure_state_g_objective_at_aligned_axes(self, monkeypatch):
+        # For |0>|+> the aligned axes give split_entropy the weights (1, 0)
+        # and the dephased weights (1, 0, 0, 0): the objective is 0 there and
+        # its gradient, finite, has no tangent part.
+        state = DensityMatrix((2, 2), np.kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
+        _, g_objective = recorded_objectives(monkeypatch, state)
+        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        value, grad = g_objective(axes)
+        assert value == 0.0
+        assert np.all(np.isfinite(grad))
+        tangent = grad - np.sum(grad * axes, axis=1, keepdims=True) * axes
+        assert np.abs(tangent).max() <= 1e-12
+        assert abs(global_discord(state)) <= 1e-12
+
     def test_bell_seeds_cover_distinct_bases(self, monkeypatch):
         # Every theta in {0, pi/2} is the computational basis, and Bell's grid
         # minimum is tied there on many cells; the starts must still go to

@@ -11,10 +11,12 @@ from hookup import (
     BadParams,
     DensityMatrix,
     DimensionMismatch,
+    NonHermitian,
     ParseError,
     UnknownPreset,
     ValidationError,
     dephase,
+    full_report,
     load,
     marginal_product,
     preset,
@@ -23,6 +25,7 @@ from hookup import (
     validate,
     von_neumann_entropy,
 )
+from hookup.states import entropy_of_probs
 
 S_CHI = 3 - 0.75 * math.log2(3)  # eigenvalues (3/8, 3/8, 1/8, 1/8) by hand
 
@@ -48,6 +51,18 @@ def test_validate_reports_non_finite():
         assert report.messages == (
             "matrix has 1 non-finite entries (NaN or infinity), the first at (1,2)",
         )
+
+
+def test_non_finite_matrix_refused_by_the_eigensolver_gate():
+    # Built directly, a state skips validate(); the Hermiticity gate of every
+    # entropy must still refuse a NaN entry, on qubits and on a qutrit.
+    for dims in ((2, 2), (3,)):
+        m = np.eye(int(np.prod(dims)), dtype=complex) / np.prod(dims)
+        m[0, 1] = np.nan
+        with pytest.raises(NonHermitian):
+            von_neumann_entropy(DensityMatrix(dims, m))
+        with pytest.raises(NonHermitian):
+            full_report(DensityMatrix(dims, m))
 
 
 def test_validate_rank_one_projector():
@@ -87,6 +102,35 @@ class TestEntropy:
         u = random_unitary(rng, 4)
         rotated = DensityMatrix((2, 2), u @ state.matrix @ u.conj().T)
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(state)) <= 1e-9
+
+
+class TestEntropyOfProbs:
+    def test_exact_zeros(self):
+        assert entropy_of_probs([1.0, 0.0]) == 0.0
+        assert entropy_of_probs([0.5, 0.0, 0.5, 0.0]) == 1.0
+        assert entropy_of_probs([0.0] * 4 + [0.25] * 4) == 2.0
+
+    def test_clips_eigensolver_negatives(self):
+        assert entropy_of_probs([1.0, -1e-9]) == 0.0
+        assert entropy_of_probs([0.5, -1e-10, 0.5]) == 1.0
+        with pytest.raises(ValidationError):
+            entropy_of_probs([1.0, -2e-9])
+
+    def test_stacked_vectors(self):
+        h = entropy_of_probs([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.25] * 4])
+        assert h.shape == (3,)
+        assert np.array_equal(h, [0.0, 1.0, 2.0])
+
+    def test_leaves_input_and_matches_positive_terms(self):
+        rng = np.random.default_rng(21)
+        p = rng.dirichlet(np.ones(8), size=5)
+        p[:, :2] = 0.0
+        p[:, 2] = -5e-10
+        before = p.copy()
+        h = entropy_of_probs(p)
+        assert np.array_equal(p, before)
+        want = [-sum(x * math.log2(x) for x in row if x > 0) for row in p]
+        assert np.max(np.abs(h - want)) <= 1e-14
 
 
 class TestRelativeEntropy:
@@ -173,6 +217,8 @@ class TestPresets:
             preset("mdms", epsilon=0.5, theta=2.0)
         with pytest.raises(BadParams):
             preset("diagonal", probs=[0.7, 0.7])
+        with pytest.raises(BadParams):
+            preset("diagonal", probs=[math.nan, 1.0])
         with pytest.raises(BadParams):
             preset("bell", epsilon=0.1)
 
