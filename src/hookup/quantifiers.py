@@ -189,7 +189,7 @@ def closest_classical(state: DensityMatrix, cfg: OptimizerConfig | None = None) 
     """Classically correlated state closest to ``state``.
 
     Returns the entropy-minimizing product basis, found by grid seeding plus
-    L-BFGS-B refinement of one Bloch axis per qubit, together with the
+    saddle-free Newton refinement of one Bloch axis per qubit, together with the
     discord, classical correlations and excess term it determines.
     """
     cfg = cfg or OptimizerConfig()
@@ -253,9 +253,10 @@ def _global_discord_opt(
         return grid(options) - reduce(np.add.outer, marginal.T)
 
     def objective(axes):
-        value, grad = dephased_entropy(pauli, axes)
-        h, slope = split_entropy(np.einsum("qi,qi->q", axes, bloch))
-        return value - h.sum(), grad - slope[:, None] * bloch
+        value, grad, hess = dephased_entropy(pauli, axes)
+        h, slope, curve = split_entropy(np.einsum("sqi,qi->sq", axes, bloch))
+        marginal = np.einsum("sq,qi,qj,qr->sqirj", curve, bloch, bloch, np.eye(n))
+        return value - h.sum(axis=1), grad - slope[..., None] * bloch, hess - marginal
 
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=batch)
     s, s_q = entropies

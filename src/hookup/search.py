@@ -7,23 +7,10 @@ outcome rows [1/2, +-n_q/2] of each qubit, so they are multilinear in the
 axes.  One real contraction (``_tail``) serves the coarse grid
 (``joint_dephased_entropies``) on the rows of the distinct grid axes, and the
 refinement (``dephased_entropy``), which adds the rows [0, +-e_i/2] of the axis
-derivatives.  L-BFGS-B refines unnormalised Bloch vectors v (n = v/|v|,
-gradient projected onto the sphere), a chart with no singular point.  The best
+derivatives and of their pairs.  Saddle-free Newton steps on the product of
+spheres refine every start at once (``_refine``), escaping saddles.  The best
 refined or grid point wins, ties going to the smallest canonical angle norm
-(the computational basis wins exact ties); repeated runs with one
-configuration are bit-identical.
-
-The grid runs in blocks of qubit 0's axes: for K axes per qubit its peak memory
-is the K^n result, the 4 (2K)^(n-1) tail and two blocks (weights and logs),
-about 37 MB at the largest grid ``GRID_CELL_BUDGET`` allows (4 qubits at 7
-points).  Its values differ from a direct evaluation by ulps, and noise must
-not order exact ties at the grid minimum (Bell-state continua, classical
-states): seeding takes values within ``_SEED_TIE`` of the minimum first, by
-cell index, so the computational basis (cell 0) is refined whenever it is tied.
-Grid options are the Bloch axes (-sin 2theta cos phi, sin 2theta sin phi, cos
-2theta) of ``qubit_unitary(theta, phi)``'s first column over ``angle_axes``,
-one per distinct basis (``_grid_axes``), so the grid holds one cell per
-distinct product basis and the starts leave the pole saddle.
+(the computational basis wins exact ties).
 """
 
 from __future__ import annotations
@@ -33,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .channels import QubitBasisAngles, axis_angles
 from .errors import BadParams
@@ -45,10 +31,18 @@ GRID_CELL_BUDGET = 6_000_000
 # logs fit in L2 (256 KB) unless one option's exceed it.  1 BLAS thread, 4 MiB
 # L2: 2^13..2^17 ran alike, 2.5-3x faster than one product; 2^19 was slower.
 _BLOCK = 2**15
-# Grid values this close to the grid minimum count as an exact tie when seeding.
+# Grid values, off a direct evaluation by ulps, this close to the grid minimum
+# count as an exact tie when seeding (Bell-state continua, classical states).
 _SEED_TIE = 1e-12
-# L-BFGS-B stops once every gradient component is this small (bits per unit of v).
-_GTOL = 1e-9
+# The refinement's tangent-gradient tolerance (bits per radian), the curvature
+# it escapes below, its |curvature| floor, step cap (radians) and halvings, and
+# the floor on the weights that the Hessian divides by.
+_GRAD_TOL = 1e-9
+_NEG_CURVATURE = -1e-5
+_MIN_CURVATURE = 1e-8
+_MAX_STEP = 0.5
+_HALVINGS = 12
+_P_FLOOR = 1e-12
 # I, X, Y, Z as rows over (a, b), holding sigma[b, a]: row @ rho_ab = tr(rho sigma).
 _PAULI_ROWS = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0], [1, 0, 0, -1]])
 # The outcome rows [0, +-e_i/2]: d/dn_i of [1/2, +-n/2].
@@ -61,10 +55,9 @@ class OptimizerConfig:
 
     ``grid_points`` is the coarse grid resolution per angle, ``multistarts``
     the most refined starts, ``tol`` the relative objective decrease per step
-    below which an L-BFGS-B start stops (its ``ftol``), ``max_iter`` the
-    per-start iteration cap.  Starts refine one Bloch vector per qubit.  The
-    search is fully deterministic, so these four values fix the result.
-    Raises BadParams on out-of-range values.
+    below which a start stops, ``max_iter`` the per-start step cap.  The search
+    is fully deterministic, so these four values fix the result: repeated runs
+    are bit-identical.  Raises BadParams on out-of-range values.
     """
 
     grid_points: int = 17
@@ -149,17 +142,18 @@ def _outcome_rows(axes: np.ndarray) -> np.ndarray:
 def _tail(pauli: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     """Contract qubits n-1, ..., 1 of ``pauli`` with their row stacks, last first.
 
-    ``rows[q]`` holds (option, outcome) rows of qubit q, shape (K_q, 2, 4).
-    Returns shape (4, rest): mu_0 by the (o_1, s_1, ..., o_{n-1}, s_{n-1})
-    pairs, qubit 1 most significant.  Qubit 0's rows times this tail are the
-    weights of every option combination.
+    ``rows[q]`` holds (option, outcome) rows of qubit q, shape (*B, K_q, 2, 4)
+    for one batch shape B.  Returns shape (*B, 4, rest): mu_0 by the (o_1,
+    s_1, ..., o_{n-1}, s_{n-1}) pairs, qubit 1 most significant.  Qubit 0's
+    rows times this tail are the weights of every option combination.
     """
-    t, rest = pauli, 1
+    lead = rows[0].shape[:-3]
+    t, rest = pauli.reshape(-1, 1), 1
     for r in rows[:0:-1]:
-        r = r.reshape(-1, 4)
-        t = r @ t.reshape(-1, 4, rest)
-        rest *= len(r)
-    return t.reshape(4, rest)
+        t = r.reshape(*lead, 1, -1, 4) @ t.reshape(*t.shape[:-2], -1, 4, rest)
+        rest *= t.shape[-2]
+        t = t.reshape(*lead, -1, rest)
+    return np.broadcast_to(t, (*lead, 4, rest))
 
 
 def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -> np.ndarray:
@@ -172,7 +166,9 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
     The ``_tail`` of qubits n-1..1 is contracted once.  Each block of qubit 0's
     options meets it in a product of weights, which is clipped at 0, turned
     into p log2 p and reduced to entropies where it lies, one outcome axis at
-    a time, so peak memory is the result, the tail and two blocks.
+    a time, so peak memory is the K^n result, the 4 (2K)^(n-1) tail and two
+    blocks: about 37 MB at the largest grid ``GRID_CELL_BUDGET`` allows (4
+    qubits at 7 points).
     """
     rows = [_outcome_rows(a) for a in options]
     tail = _tail(pauli, rows)
@@ -193,32 +189,40 @@ def joint_dephased_entropies(pauli: np.ndarray, options: Sequence[np.ndarray]) -
 
 
 def split_entropy(x):
-    """Entropy in bits of the weights (1 +- x)/2, clipped at 0, and its derivative in x."""
+    """Entropy in bits of the weights (1 +- x)/2, clipped at 0, and its first two derivatives."""
     p = np.stack([1.0 + x, 1.0 - x]) / 2
     log_p = _clipped_log2(p)
-    return -(p * log_p).sum(axis=0), (log_p[1] - log_p[0]) / 2
+    curve = -(1 / np.maximum(p, _P_FLOOR)).sum(axis=0) / (4 * math.log(2))
+    return -(p * log_p).sum(axis=0), (log_p[1] - log_p[0]) / 2, curve
 
 
 def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):
-    """Dephased entropy S in bits at one Bloch axis per qubit, and dS/dn, shape (n, 3).
+    """Dephased entropy S in bits at s points of one Bloch axis per qubit, shape (s, n, 3).
 
-    One ``_tail`` contraction with, per qubit, the axis rows and the three
-    rows [0, +-e_i/2]; as the weights are multilinear, the combinations that
-    swap one qubit's e_i rows in give dp/dn_{q,i}.  Weights are clipped at 0;
-    a zero weight adds 0 to S and takes log2 p = -1022, a finite stand-in for
-    -inf, in dS = -sum log2(p) dp (as sum dp = 0).  The gradient is that of the
-    multilinear form, normal part included.
+    Returns S, dS/dn, shape (s, n, 3), and d2S/dn dn, shape (s, n, 3, n, 3),
+    of the multilinear form, normal parts included.  In one ``_tail`` of the
+    axis rows and the rows [0, +-e_i/2] per qubit, e rows on one qubit give
+    dp/dn_{q,i}, on two d2p/dn_{q,i} dn_{r,j} (0 inside one qubit).  Weights
+    are clipped at 0; a zero weight adds 0 to S and takes log2 p = -1022, a
+    finite stand-in for -inf, in dS = -sum log2(p) dp (as sum dp = 0) and in
+    d2S = -sum log2(p) d2p - sum dp dp^T / (p ln 2), p floored at ``_P_FLOOR``.
     """
-    n = len(axes)
+    s, n = axes.shape[:2]
     rows = np.concatenate(
-        [_outcome_rows(axes)[:, None], np.broadcast_to(_AXIS_STEPS, (n, 3, 2, 4))], axis=1
-    )
-    w = (rows[0].reshape(-1, 4) @ _tail(pauli, rows)).reshape((4, 2) * n)
-    w = w.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(4**n, 2**n)
-    # Option combination 0 is the axes themselves; e_i at qubit q alone is (i + 1) * 4**(n-1-q).
-    w = w[np.append(0, (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).ravel())]
-    log_p = _clipped_log2(w[0])
-    return float(-w[0] @ log_p), -(w[1:] @ log_p).reshape(n, 3)
+        [_outcome_rows(axes)[:, :, None], np.broadcast_to(_AXIS_STEPS, (s, n, 3, 2, 4))], axis=2
+    ).swapaxes(0, 1)
+    w = (rows[0].reshape(s, -1, 4) @ _tail(pauli, rows)).reshape((s,) + (4, 2) * n)
+    w = w.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2)).reshape(s, 4**n, 2**n)
+    # Combination 0 is the axes, e_i at qubit q is (i + 1) * 4**(n-1-q), and pairs add.
+    single = (4 ** np.arange(n - 1, -1, -1)[:, None] * np.arange(1, 4)).ravel()
+    same = np.equal.outer(np.arange(3 * n) // 3, np.arange(3 * n) // 3)
+    log_p = _clipped_log2(w[:, 0])
+    # -sum w log2 p for every combination's weights w: S, dS/dn and the d2p part of d2S.
+    terms = -(w @ log_p[..., None])[..., 0]
+    dp = w[:, single]
+    hess = np.where(same, 0.0, terms[:, np.where(same, 0, np.add.outer(single, single))])
+    hess -= (dp / (np.maximum(w[:, 0], _P_FLOOR) * math.log(2))[:, None]) @ dp.swapaxes(1, 2)
+    return terms[:, 0], terms[:, single].reshape(s, n, 3), hess.reshape(s, n, 3, n, 3)
 
 
 def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -249,23 +253,77 @@ def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:
     return (theta_norm, phi_norm, tuple((a.theta, a.phi) for a in pairs))
 
 
+def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
+    """Saddle-free Newton refinement of every start of the stack ``x0``, shape (s, n, 3).
+
+    A step divides the tangent gradient g by |lambda| along the eigenvectors of
+    the Riemannian Hessian T^T H T - diag(n_q . grad_q), T two tangent vectors
+    per axis, adds ``_MAX_STEP`` downhill along the lowest where lambda_min <
+    ``_NEG_CURVATURE``, and is capped, halved until the value drops and
+    renormalised.  A start converges once |g| <= ``_GRAD_TOL`` without such
+    curvature or a step lowers the value by at most ``cfg.tol`` relative (by 0
+    when no halving does); else it stops after ``cfg.max_iter`` steps.
+    """
+    x = np.array(x0, dtype=float)
+    n = x.shape[1]
+    f, grad, hess = objective(x)
+    nfev = np.ones(len(x), dtype=int)
+    active = np.arange(len(x))
+    for _ in range(cfg.max_iter):
+        if not active.size:
+            break
+        # Two orthonormal tangent vectors per axis, shape (a, n, 2, 3).
+        u = np.cross(x[active], np.eye(3)[np.abs(x[active]).argmin(axis=-1)])
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        frames = np.stack([u, np.cross(x[active], u)], axis=-2)
+        g = np.einsum("aqti,aqi->aqt", frames, grad[active]).reshape(-1, 2 * n)
+        h = np.einsum("aqti,aqirj,aruj->aqtru", frames, hess[active], frames)
+        normal = np.einsum("aqi,aqi->aq", x[active], grad[active])
+        h = h.reshape(-1, 2 * n, 2 * n) - np.repeat(normal, 2, axis=1)[..., None] * np.eye(2 * n)
+        lam, vec = np.linalg.eigh(h)
+        coef = (g[:, None] @ vec)[:, 0]
+        step = -coef / np.maximum(np.abs(lam), _MIN_CURVATURE)
+        saddle = lam[:, 0] < _NEG_CURVATURE
+        step[:, 0] -= saddle * np.copysign(_MAX_STEP, coef[:, 0])
+        moving = (np.linalg.norm(g, axis=1) > _GRAD_TOL) | saddle
+        active = active[moving]
+        moves = ((vec @ step[..., None]).reshape(-1, n, 1, 2) @ frames)[moving, :, 0]
+        moves *= np.minimum(1, _MAX_STEP / np.linalg.norm(moves, axis=(1, 2)))[:, None, None]
+        start, left = f[active], np.arange(len(active))
+        for _ in range(_HALVINGS + 1):
+            if not left.size:
+                break
+            y = x[active[left]] + moves[left]
+            y /= np.linalg.norm(y, axis=-1, keepdims=True)
+            fy, gy, hy = objective(y)
+            nfev[active[left]] += 1
+            drop = fy < start[left]
+            k = active[left[drop]]
+            x[k], f[k], grad[k], hess[k] = y[drop], fy[drop], gy[drop], hy[drop]
+            left = left[~drop]
+            moves[left] /= 2
+        scale = np.maximum(1, np.maximum(np.abs(start), np.abs(f[active])))
+        active = active[start - f[active] > cfg.tol * scale]
+    return x, f, nfev, ~np.isin(np.arange(len(x)), active)
+
+
 def minimize_over_product_bases(
-    objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     n_qubits: int,
     cfg: OptimizerConfig | None = None,
     *,
     batch: Callable[[np.ndarray], np.ndarray],
 ) -> OptimizerResult:
-    """Minimize a continuous function of one Bloch axis per qubit.
+    """Minimize a twice-differentiable function of one Bloch axis per qubit.
 
-    ``objective(axes)`` takes unit axes, shape (n_qubits, 3), and returns
-    ``(value, gradient)`` with the gradient in the same shape; only its part
-    tangent to the sphere is used.  ``batch(options)`` evaluates the objective
-    on the coarse grid from the (K, 3) grid axes, one per distinct basis with
-    option 0 computational (``_grid_axes``), one value per cell with qubit 0
-    most significant (the layout of ``joint_dephased_entropies``).  The best
-    ``multistarts`` cells seed L-BFGS-B refinements of ``objective`` over
-    unnormalised Bloch vectors, and the best refined or seed value wins.
+    ``objective(axes)`` takes s points of unit axes, shape (s, n_qubits, 3),
+    and returns the values, gradients, shape (s, n_qubits, 3), and Hessians,
+    shape (s, n_qubits, 3, n_qubits, 3), of a smooth extension off the
+    spheres.  ``batch(options)`` evaluates it on the coarse grid from the (K,
+    3) grid axes, one per distinct basis with option 0 computational
+    (``_grid_axes``), one value per cell with qubit 0 most significant (the
+    layout of ``joint_dephased_entropies``).  The best ``multistarts`` cells
+    seed ``_refine``, and the best refined or seed value wins.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
@@ -282,33 +340,14 @@ def minimize_over_product_bases(
     pool = np.flatnonzero(values <= max(low, np.partition(values, n_starts - 1)[n_starts - 1]))
     seeds = pool[np.argsort(np.maximum(values[pool], low), kind="stable")][:n_starts]
 
-    def on_sphere(x):
-        v = x.reshape(n_qubits, 3)
-        norm = np.linalg.norm(v, axis=1, keepdims=True)
-        axes = v / norm
-        value, grad = objective(axes)
-        grad = grad - np.sum(grad * axes, axis=1, keepdims=True) * axes
-        return value, (grad / norm).ravel()
-
+    x0 = options[np.stack(np.unravel_index(seeds, (len(options),) * n_qubits), axis=1)]
+    refined, fun, nfev, ok = _refine(objective, x0, cfg)
+    # Grid points themselves stay in the pool: along degenerate valleys a
+    # refined point only drifts, and the tie-break should prefer the clean
+    # grid representative.
     candidates: list[tuple[float, np.ndarray, bool]] = []
-    nfev = 0
-    for cell in seeds:
-        x0 = options[list(np.unravel_index(int(cell), (len(options),) * n_qubits))]
-        # Grid points themselves stay in the pool: along degenerate valleys a
-        # refined point only drifts, and the tie-break should prefer the clean
-        # grid representative.
-        candidates.append((float(values[int(cell)]), x0, True))
-        res = minimize(
-            on_sphere,
-            x0.ravel(),
-            jac=True,
-            method="L-BFGS-B",
-            options={"ftol": cfg.tol, "gtol": _GTOL, "maxiter": cfg.max_iter},
-        )
-        nfev += int(res.nfev)
-        v = res.x.reshape(n_qubits, 3)
-        axes = v / np.linalg.norm(v, axis=1, keepdims=True)
-        candidates.append((float(res.fun), axes, bool(res.success)))
+    for cell, start, point, value, success in zip(seeds, x0, refined, fun, ok):
+        candidates += [(float(values[cell]), start, True), (float(value), point, bool(success))]
 
     best_value = min(c[0] for c in candidates)
     tied = [c for c in candidates if c[0] <= best_value + 1e-9]
@@ -320,7 +359,7 @@ def minimize_over_product_bases(
         value=value,
         converged=success,
         starts=n_starts,
-        nfev=nfev,
+        nfev=int(nfev.sum()),
         grid_points=pts,
         requested_grid_points=cfg.grid_points,
         grid_cells=ncells,

@@ -77,6 +77,46 @@ def bloch_axes(thetas, phis) -> np.ndarray:
     return np.stack([-s2t * np.cos(phis), s2t * np.sin(phis), np.cos(2 * thetas)], axis=-1)
 
 
+def recorded_refinements(monkeypatch, state: DensityMatrix, cfg=None) -> list:
+    """(objective, points, values) of each refinement in ``full_report(state, cfg=cfg)``.
+
+    The D search's comes first, then the G search's; ``points`` and
+    ``values`` hold every refined start.
+    """
+    from hookup import quantifiers, search
+
+    seen = []
+
+    def recording(objective, x0, cfg):
+        points, values, nfev, converged = refine(objective, x0, cfg)
+        seen.append((objective, points, values))
+        return points, values, nfev, converged
+
+    refine = search._refine
+    with monkeypatch.context() as patch:
+        patch.setattr(search, "_refine", recording)
+        quantifiers.full_report(state, cfg=cfg)
+    return seen
+
+
+def second_order_certificate(objective, axes: np.ndarray) -> tuple[float, float]:
+    """Tangent-gradient norm and smallest Riemannian-Hessian eigenvalue at unit ``axes``.
+
+    ``objective`` is a search objective in the stacked form; the tangent
+    planes come from an SVD, and the Hessian on the product of spheres is
+    T^T H T - diag(n_q . grad_q).
+    """
+    n = len(axes)
+    _, (grad,), (hess,) = objective(axes[None])
+    frames = np.zeros((n, 3, n, 2))
+    for q in range(n):
+        frames[q, :, q] = np.linalg.svd(axes[q : q + 1])[2][1:].T
+    frames = frames.reshape(3 * n, 2 * n)
+    riemann = frames.T @ hess.reshape(3 * n, 3 * n) @ frames
+    riemann -= np.diag(np.repeat(np.sum(axes * grad, axis=1), 2))
+    return float(np.linalg.norm(grad.ravel() @ frames)), float(np.linalg.eigvalsh(riemann)[0])
+
+
 def _axis_grid(points: int) -> tuple[np.ndarray, np.ndarray]:
     """Flattened (theta, phi) grid, theta-major, and its Bloch axes."""
     thetas = np.linspace(0, math.pi / 2, points)

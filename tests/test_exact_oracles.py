@@ -19,6 +19,8 @@ from conftest import (
     bloch_form,
     random_pure_state,
     random_unitary,
+    recorded_refinements,
+    second_order_certificate,
 )
 from hookup import DensityMatrix, closest_classical, preset, qubit_unitary
 
@@ -127,20 +129,15 @@ def reduced_min_dephased_entropy(matrix: np.ndarray) -> float:
     return min(float(values[i, j]), float(result.fun))
 
 
-# Just below eps'' the search returns the x basis though a joint turn of both
-# polar angles lies up to 6.2e-6 lower.
-BUG_WINDOW = pytest.mark.xfail(
-    strict=True,
-    reason="known wrong minimum just below eps'': all starts sit on the Rz(phi) x Rz(-phi) "
-    "orbit of the x basis; seeding distinct basins (ROADMAP.md Direction 1) mends it",
-)
+# Just below eps'' the x basis is a saddle: a joint turn of both polar angles
+# lies up to 6.2e-6 lower, which only a second-order step finds from there.
+MDMS_EPSILONS = [
+    0.3, 0.6, 0.66, 0.6667, 0.67, 0.7, 0.75, 0.7605,
+    0.7608, 0.7610, 0.7612, 0.7614, 0.7616, 0.77, 0.9,
+]
 
 
-@pytest.mark.parametrize(
-    "epsilon",
-    [0.3, 0.6, 0.66, 0.6667, 0.67, 0.7, 0.75, 0.7605, 0.7616, 0.77, 0.9]
-    + [pytest.param(e, marks=BUG_WINDOW) for e in (0.7608, 0.7610, 0.7612, 0.7614)],
-)
+@pytest.mark.parametrize("epsilon", MDMS_EPSILONS)
 def test_mdms_family_matches_reduced_oracle(epsilon):
     state = preset("mdms", epsilon=epsilon)
     # The reduction rests on invariance under Rz(phi) x Rz(-phi), diagonal
@@ -150,3 +147,16 @@ def test_mdms_family_matches_reduced_oracle(epsilon):
     entropy = shannon(np.linalg.eigvalsh(state.matrix))
     oracle = reduced_min_dephased_entropy(state.matrix) - entropy
     assert abs(closest_classical(state).discord - oracle) <= 1e-9
+
+
+@pytest.mark.parametrize("epsilon", MDMS_EPSILONS)
+def test_mdms_family_refines_to_second_order_stationary_points(monkeypatch, epsilon):
+    # The lowest refined start of the D and G searches has no tangent gradient
+    # and no direction that curves down, the saddle window below eps''
+    # included.  The returned basis is that point or a grid cell within the
+    # 1e-9 tie of it: at 0.6667 the computational basis, a saddle 5e-10 above.
+    state = preset("mdms", epsilon=epsilon)
+    for objective, points, values in recorded_refinements(monkeypatch, state):
+        gradient, curvature = second_order_certificate(objective, points[values.argmin()])
+        assert gradient <= 1e-7
+        assert curvature >= -1e-5

@@ -1,6 +1,8 @@
-"""The package's import boundary: scipy serves only the search's refinement."""
+"""The package's import boundary: the runtime needs numpy alone."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import hookup
@@ -17,8 +19,17 @@ def scipy_imports(path: Path) -> list[str]:
     return sorted(n for n in names if n.split(".")[0] == "scipy")
 
 
-def test_scipy_is_imported_only_by_the_refinement():
+def test_no_module_imports_scipy():
     found = {p.name: scipy_imports(p) for p in Path(hookup.__file__).parent.glob("*.py")}
-    assert {name: names for name, names in found.items() if names} == {
-        "search.py": ["scipy.optimize.minimize"]
-    }
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_import_leaves_scipy_unloaded():
+    # A fresh interpreter, so that scipy loaded by the tests' own oracles does not count.
+    code = "import sys, hookup; print('scipy' in sys.modules)"
+    src = str(Path(hookup.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

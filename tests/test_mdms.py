@@ -138,6 +138,14 @@ class TestThresholds:
             <= 0.01
         )
 
+    def test_basis_switch_eps_double_prime_meets_derivative(
+        self, switch_thresholds, derivative_thresholds
+    ):
+        # Just below eps'' the x basis is a saddle, so a search that stops on
+        # saddles reports the x basis too early, by 8e-4.
+        gap = abs(switch_thresholds.eps_double_prime - derivative_thresholds.eps_double_prime)
+        assert gap <= 1e-4
+
     def test_unknown_method(self):
         with pytest.raises(BadParams):
             find_thresholds("newton")

@@ -16,6 +16,8 @@ from conftest import (
     random_product_basis,
     random_pure_state,
     random_state,
+    recorded_refinements,
+    second_order_certificate,
 )
 from hookup import (
     DensityMatrix,
@@ -460,38 +462,58 @@ def looped_batch(objective, n_qubits):
     return batch
 
 
-def with_fd_gradient(objective, h=1e-6):
-    """The ``(value, gradient)`` form of a scalar objective of unit axes.
+def with_fd_derivatives(objective, h=1e-6, h2=1e-4):
+    """The stacked ``(values, gradients, Hessians)`` form of a scalar objective of unit axes.
 
-    The gradient is by central differences of the objective at the
-    renormalised displaced axes.
+    The derivatives are by central differences of the objective at the
+    renormalised displaced axes, with step ``h`` for the gradient and ``h2``
+    for the Hessian.
     """
 
-    def value_and_gradient(axes):
-        steps = h * np.eye(axes.size).reshape((-1,) + axes.shape)
-        grad = [(objective(unit(axes + e)) - objective(unit(axes - e))) / (2 * h) for e in steps]
-        return objective(axes), np.reshape(grad, axes.shape)
+    def derivatives(x):
+        def at(step):
+            return objective(unit(x + step.reshape(x.shape)))
 
-    return value_and_gradient
+        eye = np.eye(x.size)
+        grad = [(at(h * a) - at(-h * a)) / (2 * h) for a in eye]
+        hess = [
+            [at(h2 * (a + b)) - at(h2 * (a - b)) - at(h2 * (b - a)) + at(-h2 * (a + b)) for b in eye]
+            for a in eye
+        ]
+        return objective(x), np.reshape(grad, x.shape), np.reshape(hess, 2 * x.shape) / (4 * h2**2)
+
+    def value_gradient_hessian(axes):
+        rows = [derivatives(x) for x in axes]
+        return tuple(np.array(column) for column in zip(*rows))
+
+    return value_gradient_hessian
+
+
+def zero_objective(axes):
+    """A constant 0 in the stacked form ``minimize_over_product_bases`` takes."""
+    s, n = axes.shape[:2]
+    return np.zeros(s), np.zeros((s, n, 3)), np.zeros((s, n, 3, n, 3))
+
+
+def record_starts(monkeypatch):
+    """A list that collects each start stack, shape (s, n, 3), that ``_refine`` receives."""
+    from hookup import search
+
+    starts = []
+
+    def recording(objective, x0, cfg):
+        starts.append(np.array(x0))
+        return refine(objective, x0, cfg)
+
+    refine = search._refine
+    monkeypatch.setattr(search, "_refine", recording)
+    return starts
 
 
 def recorded_objectives(monkeypatch, state):
     """The D and G objectives that closest_classical and global_discord search over."""
-    from hookup import quantifiers
-
-    seen = []
-
-    def recording(objective, *args, **kwargs):
-        seen.append(objective)
-        return search_minimize(objective, *args, **kwargs)
-
-    search_minimize = quantifiers.minimize_over_product_bases
     tiny = OptimizerConfig(grid_points=3, multistarts=1, max_iter=5)
-    with monkeypatch.context() as patch:
-        patch.setattr(quantifiers, "minimize_over_product_bases", recording)
-        closest_classical(state, tiny)
-        global_discord(state, tiny)
-    return seen
+    return [objective for objective, _, _ in recorded_refinements(monkeypatch, state, tiny)]
 
 
 class TestMinimizeOverProductBases:
@@ -500,7 +522,7 @@ class TestMinimizeOverProductBases:
             return 1.25
 
         result = minimize_over_product_bases(
-            with_fd_gradient(objective), 2, FAST, batch=looped_batch(objective, 2)
+            with_fd_derivatives(objective), 2, FAST, batch=looped_batch(objective, 2)
         )
         assert abs(result.value - 1.25) <= 1e-12
 
@@ -511,7 +533,7 @@ class TestMinimizeOverProductBases:
             return von_neumann_entropy(dephase(bell, axes_basis(axes)))
 
         result = minimize_over_product_bases(
-            with_fd_gradient(objective), 2, FAST, batch=looped_batch(objective, 2)
+            with_fd_derivatives(objective), 2, FAST, batch=looped_batch(objective, 2)
         )
         assert abs(result.value - 1.0) <= 1e-9
 
@@ -522,7 +544,7 @@ class TestMinimizeOverProductBases:
             return von_neumann_entropy(dephase(state, axes_basis(axes)))
 
         result = minimize_over_product_bases(
-            with_fd_gradient(objective),
+            with_fd_derivatives(objective),
             2,
             OptimizerConfig(grid_points=9),
             batch=looped_batch(objective, 2),
@@ -543,9 +565,7 @@ class TestMinimizeOverProductBases:
             return np.zeros(len(options) ** 2)
 
         cfg = OptimizerConfig(grid_points=points, multistarts=1, max_iter=1)
-        result = minimize_over_product_bases(
-            lambda axes: (0.0, np.zeros((2, 3))), 2, cfg, batch=batch
-        )
+        result = minimize_over_product_bases(zero_objective, 2, cfg, batch=batch)
         (rows,) = received
         pts = result.grid_points
         assert pts == max(3, points)
@@ -719,8 +739,12 @@ class TestMinimizeOverProductBases:
         def objective(axes):
             return 0.0 if np.max(np.abs(axes - target)) < 1e-9 else 1.0
 
+        def stacked(axes):
+            values, grads, hessians = zero_objective(axes)
+            return values + [objective(x) for x in axes], grads, hessians
+
         result = minimize_over_product_bases(
-            lambda axes: (objective(axes), np.zeros((2, 3))),
+            stacked,
             2,
             OptimizerConfig(grid_points=5, multistarts=2),
             batch=looped_batch(objective, 2),
@@ -745,11 +769,11 @@ class TestMinimizeOverProductBases:
                 axes[0] = -np.abs(axes[0])  # southern hemisphere, negative x and y
             basis = axes_basis(axes)
 
-            kernel = d_objective(axes)[0]
+            kernel = d_objective(axes[None])[0][0]
             reference = von_neumann_entropy(dephase(state, basis))
             assert abs(kernel - reference) <= 1e-12
 
-            g_kernel = g_objective(axes)[0]
+            g_kernel = g_objective(axes[None])[0][0]
             g_kernel += sum(von_neumann_entropy(state.marginal(q)) for q in range(n_qubits))
             g_kernel -= von_neumann_entropy(state)
             assert abs(g_kernel - multipartite_coherence(state, basis)) <= 1e-12
@@ -768,7 +792,7 @@ class TestMinimizeOverProductBases:
             assert len(objectives) == 2
             axes = unit(rng.normal(size=(n_qubits, 3)))
             for objective in objectives:
-                _, grad = objective(axes)
+                grad = objective(axes[None])[1][0]
                 for q in range(n_qubits):
                     # Rows 1 and 2 of V^T span the tangent plane at axes[q].
                     for t in np.linalg.svd(axes[q : q + 1])[2][1:]:
@@ -776,8 +800,44 @@ class TestMinimizeOverProductBases:
                         for sign in (1, -1):
                             moved = axes.copy()
                             moved[q] = axes[q] * math.cos(h) + sign * t * math.sin(h)
-                            ends.append(objective(moved)[0])
+                            ends.append(objective(moved[None])[0][0])
                         assert abs(grad[q] @ t - (ends[0] - ends[1]) / (2 * h)) <= 1e-6
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_hessian_matches_central_differences_of_gradient(self, monkeypatch, n_qubits):
+        # The D and G objectives' Hessian times a tangent vector t must match
+        # central differences of their gradient along the great circle through
+        # one axis in the direction t, at ranks 1 to full.
+        rng = np.random.default_rng(40 + n_qubits)
+        dims = (2,) * n_qubits
+        h = 1e-5
+        for rank in sorted({1, 2, 2**n_qubits}):
+            state = random_state(rng, dims, rank=rank)
+            axes = unit(rng.normal(size=(n_qubits, 3)))
+            for objective in recorded_objectives(monkeypatch, state):
+                hess = objective(axes[None])[2][0]
+                for q in range(n_qubits):
+                    for t in np.linalg.svd(axes[q : q + 1])[2][1:]:
+                        moved = np.repeat(axes[None], 2, axis=0)
+                        moved[:, q] = axes[q] * math.cos(h) + np.outer([1, -1], t) * math.sin(h)
+                        grads = objective(moved)[1]
+                        fd = (grads[0] - grads[1]) / (2 * h)
+                        assert np.abs(hess[:, :, q] @ t - fd).max() <= 1e-6
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_returned_points_are_second_order_stationary(self, monkeypatch, n_qubits):
+        # At the lowest refined start of each search, on seeded random mixed
+        # states, the tangent gradient vanishes and no direction curves down.
+        # Pure states are left out: a pure state's minimum can sit on zero
+        # weights, where the gradient of -p log p falls only as t log t in the
+        # distance t.
+        rng = np.random.default_rng(50 + n_qubits)
+        for rank in (2, 3, 2**n_qubits):
+            state = random_state(rng, (2,) * n_qubits, rank=rank)
+            for objective, points, values in recorded_refinements(monkeypatch, state):
+                gradient, curvature = second_order_certificate(objective, points[values.argmin()])
+                assert gradient <= 1e-7
+                assert curvature >= -1e-5
 
     def test_product_pure_state_g_objective_at_aligned_axes(self, monkeypatch):
         # For |0>|+> the aligned axes give split_entropy the weights (1, 0)
@@ -786,7 +846,7 @@ class TestMinimizeOverProductBases:
         state = DensityMatrix((2, 2), np.kron(np.diag([1.0, 0.0]), np.full((2, 2), 0.5)))
         _, g_objective = recorded_objectives(monkeypatch, state)
         axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        value, grad = g_objective(axes)
+        (value,), (grad,), _ = g_objective(axes[None])
         assert value == 0.0
         assert np.all(np.isfinite(grad))
         tangent = grad - np.sum(grad * axes, axis=1, keepdims=True) * axes
@@ -797,18 +857,11 @@ class TestMinimizeOverProductBases:
         # Every theta in {0, pi/2} is the computational basis, and Bell's grid
         # minimum is tied there on many cells; the starts must still go to
         # different bases, each seeded once.
-        from hookup import search
         from hookup.channels import axis_angles
 
-        starts = []
-
-        def recording(objective, x0, **kwargs):
-            starts.append(np.reshape(x0, (-1, 3)))
-            return scipy_minimize(objective, x0, **kwargs)
-
-        scipy_minimize = search.minimize
-        monkeypatch.setattr(search, "minimize", recording)
+        stacks = record_starts(monkeypatch)
         closest_classical(preset("bell"))
+        (starts,) = stacks
         bases = {
             tuple((round(a.theta, 9), round(a.phi, 9)) for a in map(axis_angles, x))
             for x in starts
@@ -821,16 +874,7 @@ class TestMinimizeOverProductBases:
         # second-lowest value, many more than the start count; whatever the
         # layout, the starts after cell 0 must be the lowest-index tied cells,
         # in index order.
-        from hookup import search
-
-        starts = []
-
-        def recording(objective, x0, **kwargs):
-            starts.append(np.array(x0))
-            return scipy_minimize(objective, x0, **kwargs)
-
-        scipy_minimize = search.minimize
-        monkeypatch.setattr(search, "minimize", recording)
+        starts = record_starts(monkeypatch)
         cfg = OptimizerConfig()
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -845,28 +889,17 @@ class TestMinimizeOverProductBases:
                 return values.reshape(len(options), len(options))
 
             starts.clear()
-            minimize_over_product_bases(
-                lambda axes: (0.0, np.zeros_like(axes)), 2, cfg, batch=batch
-            )
+            minimize_over_product_bases(zero_objective, 2, cfg, batch=batch)
             assert seen[0].shape == (256, 3)
             cells = [0, *tied[: cfg.multistarts - 1]]
-            expected = [seen[0][list(np.unravel_index(c, (256, 256)))].ravel() for c in cells]
-            assert np.array_equal(np.array(starts), np.array(expected)), seed
+            expected = [seen[0][list(np.unravel_index(c, (256, 256)))] for c in cells]
+            assert np.array_equal(np.concatenate(starts), np.array(expected)), seed
 
     def test_near_ties_at_the_grid_minimum_seed_by_index(self, monkeypatch):
         # Cell 0 sits 5e-13 above the grid minimum, reached at cell 100, and
         # cell 50 lies between them: all three are within the seeding tie, so
         # they seed by index (0, 50, 100), not by value; the rest by value.
-        from hookup import search
-
-        starts = []
-
-        def recording(objective, x0, **kwargs):
-            starts.append(np.array(x0))
-            return scipy_minimize(objective, x0, **kwargs)
-
-        scipy_minimize = search.minimize
-        monkeypatch.setattr(search, "minimize", recording)
+        starts = record_starts(monkeypatch)
         values = 2.0 + np.random.default_rng(0).random(256**2)
         values[[0, 50, 100]] = [5e-13, 3e-13, 0.0]
         seen = []
@@ -876,11 +909,11 @@ class TestMinimizeOverProductBases:
             return values.reshape(len(options), len(options))
 
         cfg = OptimizerConfig()
-        minimize_over_product_bases(lambda axes: (0.0, np.zeros_like(axes)), 2, cfg, batch=batch)
+        minimize_over_product_bases(zero_objective, 2, cfg, batch=batch)
         assert seen[0].shape == (256, 3)
         cells = [0, 50, 100, *np.argsort(values)[3 : cfg.multistarts]]
-        expected = [seen[0][list(np.unravel_index(c, (256, 256)))].ravel() for c in cells]
-        assert np.array_equal(np.array(starts), np.array(expected))
+        expected = [seen[0][list(np.unravel_index(c, (256, 256)))] for c in cells]
+        assert np.array_equal(np.concatenate(starts), np.array(expected))
 
     def test_mdms_just_above_eps_prime_leaves_computational_saddle(self):
         # At eps = 0.672 the computational basis is a saddle of the dephased
@@ -889,12 +922,6 @@ class TestMinimizeOverProductBases:
         computational = von_neumann_entropy(dephase(state)) - von_neumann_entropy(state)
         assert closest_classical(state).discord < computational - 1e-5
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known wrong minimum just below eps'': all starts sit on the "
-        "Rz(phi) x Rz(-phi) orbit of the x basis; seeding distinct basins "
-        "(ROADMAP.md Direction 1) mends it",
-    )
     def test_mdms_just_below_eps_double_prime_leaves_x_basis(self):
         # At eps = 0.761 the x basis is a stationary point of the dephased
         # entropy, but a joint turn of both polar angles (theta_1 = theta_2
