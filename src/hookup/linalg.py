@@ -8,6 +8,7 @@ exactly the convention of ``numpy.kron(factor_0, factor_1, ...)``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -87,7 +88,7 @@ def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
     a = as_square(m)
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if int(np.prod(dims)) != a.shape[0]:
+    if math.prod(dims) != a.shape[0]:
         raise DimensionMismatch(
             f"product of dims {dims} != matrix dimension {a.shape[0]}"
         )

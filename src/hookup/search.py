@@ -8,9 +8,9 @@ axes.  One real contraction (``_tail``) serves the coarse grid
 (``joint_dephased_entropies``) on the rows of the distinct grid axes, and the
 refinement (``dephased_entropy``), which adds the rows [0, +-e_i/2] of the axis
 derivatives and of their pairs.  Saddle-free Newton steps on the product of
-spheres refine every start at once (``_refine``), escaping saddles.  The best
-refined or grid point wins, ties going to the smallest canonical angle norm
-(the computational basis wins exact ties).
+spheres refine every start at once (``_refine``), escaping saddles.  The lowest
+refined start wins; starts within 1e-9 of it tie, and the tie goes to the
+smallest canonical angle norm (the computational basis wins exact ties).
 """
 
 from __future__ import annotations
@@ -323,7 +323,8 @@ def minimize_over_product_bases(
     3) grid axes, one per distinct basis with option 0 computational
     (``_grid_axes``), one value per cell with qubit 0 most significant (the
     layout of ``joint_dephased_entropies``).  The best ``multistarts`` cells
-    seed ``_refine``, and the best refined or seed value wins.
+    seed ``_refine``, grid values only ordering them; the lowest refined start
+    wins, the smallest ``_tie_key`` within 1e-9 of it.
     """
     cfg = cfg or OptimizerConfig()
     pts = effective_grid_points(cfg.grid_points, n_qubits)
@@ -342,22 +343,13 @@ def minimize_over_product_bases(
 
     x0 = options[np.stack(np.unravel_index(seeds, (len(options),) * n_qubits), axis=1)]
     refined, fun, nfev, ok = _refine(objective, x0, cfg)
-    # Grid points themselves stay in the pool: along degenerate valleys a
-    # refined point only drifts, and the tie-break should prefer the clean
-    # grid representative.
-    candidates: list[tuple[float, np.ndarray, bool]] = []
-    for cell, start, point, value, success in zip(seeds, x0, refined, fun, ok):
-        candidates += [(float(values[cell]), start, True), (float(value), point, bool(success))]
-
-    best_value = min(c[0] for c in candidates)
-    tied = [c for c in candidates if c[0] <= best_value + 1e-9]
-    keyed = sorted(tied, key=lambda c: _tie_key(tuple(map(axis_angles, c[1]))))
-    value, axes, success = keyed[0]
+    tied = np.flatnonzero(fun <= fun.min() + 1e-9)
+    best = min(tied, key=lambda i: _tie_key(tuple(map(axis_angles, refined[i]))))
 
     return OptimizerResult(
-        angles=tuple(map(axis_angles, axes)),
-        value=value,
-        converged=success,
+        angles=tuple(map(axis_angles, refined[best])),
+        value=float(fun[best]),
+        converged=bool(ok[best]),
         starts=n_starts,
         nfev=int(nfev.sum()),
         grid_points=pts,

@@ -48,7 +48,7 @@ class DensityMatrix:
             raise DimensionMismatch(f"dims need one or more subsystems, each >= 2, got {dims}")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"state matrix must be square, got shape {m.shape}")
-        if int(np.prod(dims)) != m.shape[0]:
+        if math.prod(dims) != m.shape[0]:
             raise DimensionMismatch(
                 f"product of dims {dims} != matrix dimension {m.shape[0]}"
             )
@@ -170,7 +170,7 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
 
 def _ket(bits: Sequence[int], dims: Sequence[int]) -> np.ndarray:
-    v = np.zeros(int(np.prod(dims)), dtype=complex)
+    v = np.zeros(math.prod(dims), dtype=complex)
     idx = 0
     for b, d in zip(bits, dims):
         idx = idx * d + b
@@ -285,7 +285,7 @@ _PRESETS = {
 }
 
 
-def preset(name: str, **params) -> DensityMatrix:
+def preset(name: str, /, **params) -> DensityMatrix:
     """Build a named preset state; see ``_PRESETS`` for accepted names."""
     if name not in _PRESETS:
         raise UnknownPreset(
@@ -329,6 +329,8 @@ def load(text: str) -> DensityMatrix:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
 
@@ -355,11 +357,9 @@ def load(text: str) -> DensityMatrix:
         for j, entry in enumerate(row):
             try:
                 m[i, j] = complex(float(entry["re"]), float(entry["im"]))
-            except (TypeError, KeyError, ValueError) as exc:
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise ParseError(
                     f"entry ({i},{j}) must be an object with numeric re/im",
                     field="matrix",
                 ) from exc
-    if int(np.prod(dims)) != n:
-        raise DimensionMismatch(f"product of dims {dims} != matrix dimension {n}")
     return require_valid(DensityMatrix(tuple(dims), m))

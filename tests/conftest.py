@@ -77,24 +77,26 @@ def bloch_axes(thetas, phis) -> np.ndarray:
     return np.stack([-s2t * np.cos(phis), s2t * np.sin(phis), np.cos(2 * thetas)], axis=-1)
 
 
-def recorded_refinements(monkeypatch, state: DensityMatrix, cfg=None) -> list:
-    """(objective, points, values) of each refinement in ``full_report(state, cfg=cfg)``.
+def recorded_searches(monkeypatch, state: DensityMatrix, cfg=None) -> list:
+    """(objective, returned) of each basis search in ``full_report(state, cfg=cfg)``.
 
-    The D search's comes first, then the G search's; ``points`` and
-    ``values`` hold every refined start.
+    The D search's comes first, then the G search's; ``returned`` holds the
+    Bloch axes of the basis the search returned, rebuilt from its angles,
+    shape (n, 3).
     """
-    from hookup import quantifiers, search
+    from hookup import quantifiers
 
     seen = []
 
-    def recording(objective, x0, cfg):
-        points, values, nfev, converged = refine(objective, x0, cfg)
-        seen.append((objective, points, values))
-        return points, values, nfev, converged
+    def recording(objective, *args, **kwargs):
+        result = minimize(objective, *args, **kwargs)
+        angles = np.array([(a.theta, a.phi) for a in result.angles])
+        seen.append((objective, bloch_axes(angles[:, 0], angles[:, 1])))
+        return result
 
-    refine = search._refine
+    minimize = quantifiers.minimize_over_product_bases
     with monkeypatch.context() as patch:
-        patch.setattr(search, "_refine", recording)
+        patch.setattr(quantifiers, "minimize_over_product_bases", recording)
         quantifiers.full_report(state, cfg=cfg)
     return seen
 

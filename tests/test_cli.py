@@ -7,6 +7,9 @@ from hookup import DensityMatrix, save
 from hookup.cli import main
 
 
+WHITE_NOISE = save(DensityMatrix((2, 2), np.eye(4) / 4))
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -117,9 +120,12 @@ class TestCompute:
             (b'{"preset": "diagonal", "probs": [0.5, 0.5], "dims": [Infinity]}', "diagonal"),
             (b'{"preset": "diagonal", "probs": [0.25, 0.25, 0.25, 0.25], "dims": "22"}', "dims"),
             (b'{"preset": "caf\xe9"}', "UTF-8"),
+            (json.dumps({**json.loads(WHITE_NOISE), "dims": [2**62 + 1, 4]}).encode(), "dims"),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
         ],
         ids=["non-string-preset", "ghz-n-text", "ghz-n-fraction", "probs-text", "dims-text",
-             "dims-fraction", "dims-infinite", "dims-digit-text", "latin-1"],
+             "dims-fraction", "dims-infinite", "dims-digit-text", "latin-1",
+             "dims-product-past-int64", "deep-nesting"],
     )
     def test_bad_preset_file_exit_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "preset.json"

@@ -19,7 +19,7 @@ from conftest import (
     bloch_form,
     random_pure_state,
     random_unitary,
-    recorded_refinements,
+    recorded_searches,
     second_order_certificate,
 )
 from hookup import DensityMatrix, closest_classical, preset, qubit_unitary
@@ -151,12 +151,12 @@ def test_mdms_family_matches_reduced_oracle(epsilon):
 
 @pytest.mark.parametrize("epsilon", MDMS_EPSILONS)
 def test_mdms_family_refines_to_second_order_stationary_points(monkeypatch, epsilon):
-    # The lowest refined start of the D and G searches has no tangent gradient
-    # and no direction that curves down, the saddle window below eps''
-    # included.  The returned basis is that point or a grid cell within the
-    # 1e-9 tie of it: at 0.6667 the computational basis, a saddle 5e-10 above.
+    # The basis the D and G searches return has no tangent gradient and no
+    # direction that curves down, the saddle window below eps'' included.  At
+    # 0.6667 the computational basis, a saddle, lies 5e-10 above the refined
+    # minimum, within the 1e-9 tie, so the winner must be a refined start.
     state = preset("mdms", epsilon=epsilon)
-    for objective, points, values in recorded_refinements(monkeypatch, state):
-        gradient, curvature = second_order_certificate(objective, points[values.argmin()])
+    for objective, returned in recorded_searches(monkeypatch, state):
+        gradient, curvature = second_order_certificate(objective, returned)
         assert gradient <= 1e-7
         assert curvature >= -1e-5

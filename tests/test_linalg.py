@@ -116,6 +116,8 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 3), 0)
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (2, 2), 2)
+        with pytest.raises(DimensionMismatch):
+            partial_trace(np.eye(4), (2**62 + 1, 4), 0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

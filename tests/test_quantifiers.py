@@ -16,7 +16,7 @@ from conftest import (
     random_product_basis,
     random_pure_state,
     random_state,
-    recorded_refinements,
+    recorded_searches,
     second_order_certificate,
 )
 from hookup import (
@@ -513,7 +513,7 @@ def record_starts(monkeypatch):
 def recorded_objectives(monkeypatch, state):
     """The D and G objectives that closest_classical and global_discord search over."""
     tiny = OptimizerConfig(grid_points=3, multistarts=1, max_iter=5)
-    return [objective for objective, _, _ in recorded_refinements(monkeypatch, state, tiny)]
+    return [objective for objective, _ in recorded_searches(monkeypatch, state, tiny)]
 
 
 class TestMinimizeOverProductBases:
@@ -826,16 +826,16 @@ class TestMinimizeOverProductBases:
 
     @pytest.mark.parametrize("n_qubits", [2, 3, 4])
     def test_returned_points_are_second_order_stationary(self, monkeypatch, n_qubits):
-        # At the lowest refined start of each search, on seeded random mixed
-        # states, the tangent gradient vanishes and no direction curves down.
+        # At the basis each search returns, on seeded random mixed states, the
+        # tangent gradient vanishes and no direction curves down.
         # Pure states are left out: a pure state's minimum can sit on zero
         # weights, where the gradient of -p log p falls only as t log t in the
         # distance t.
         rng = np.random.default_rng(50 + n_qubits)
         for rank in (2, 3, 2**n_qubits):
             state = random_state(rng, (2,) * n_qubits, rank=rank)
-            for objective, points, values in recorded_refinements(monkeypatch, state):
-                gradient, curvature = second_order_certificate(objective, points[values.argmin()])
+            for objective, returned in recorded_searches(monkeypatch, state):
+                gradient, curvature = second_order_certificate(objective, returned)
                 assert gradient <= 1e-7
                 assert curvature >= -1e-5
 

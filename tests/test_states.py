@@ -11,6 +11,7 @@ from hookup import (
     BadParams,
     DensityMatrix,
     DimensionMismatch,
+    HookupError,
     NonHermitian,
     ParseError,
     UnknownPreset,
@@ -28,6 +29,39 @@ from hookup import (
 from hookup.states import entropy_of_probs
 
 S_CHI = 3 - 0.75 * math.log2(3)  # eigenvalues (3/8, 3/8, 1/8, 1/8) by hand
+
+# Any JSON value, and documents shaped like the two state-file forms.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_ENTRIES = st.fixed_dictionaries({"re": JSON_VALUES, "im": JSON_VALUES}) | st.fixed_dictionaries(
+    {"re": st.floats(-1, 1), "im": st.floats(-1, 1)}
+)
+JSON_DOCUMENTS = st.one_of(
+    JSON_VALUES,
+    st.fixed_dictionaries(
+        {
+            "dims": st.lists(st.integers() | st.sampled_from([2, 3, 2**62 + 1]), max_size=4)
+            | JSON_VALUES,
+            "matrix": st.integers(1, 4).flatmap(
+                lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+            )
+            | JSON_VALUES,
+        }
+    ),
+    st.builds(
+        lambda name, params: {"preset": name, **params},
+        st.sampled_from(["bell", "paper-example", "w-mixture", "mdms", "ghz", "diagonal", "nope"])
+        | JSON_VALUES,
+        st.dictionaries(
+            st.sampled_from(["name", "epsilon", "theta", "phi", "n", "probs", "dims"]),
+            JSON_VALUES | st.floats(0, 1) | st.lists(st.floats(0, 1), max_size=4),
+            max_size=3,
+        ),
+    ),
+)
 
 
 def test_validate_maximally_mixed():
@@ -81,6 +115,9 @@ def test_dimension_guards():
         DensityMatrix((2, 3), np.eye(4) / 4)
     with pytest.raises(DimensionMismatch):
         DensityMatrix((2,) * 7, np.eye(128) / 128)
+    # (2**62 + 1) * 4 wraps to 4 in int64; the exact product does not.
+    with pytest.raises(DimensionMismatch):
+        DensityMatrix((2**62 + 1, 4), np.eye(4) / 4)
 
 
 class TestEntropy:
@@ -221,6 +258,8 @@ class TestPresets:
             preset("diagonal", probs=[math.nan, 1.0])
         with pytest.raises(BadParams):
             preset("bell", epsilon=0.1)
+        with pytest.raises(BadParams):
+            preset("bell", name="ghz")
 
 
 class TestSerialization:
@@ -251,6 +290,20 @@ class TestSerialization:
             load("{not json")
         with pytest.raises(ParseError):
             load('{"dims": [2]}')
+        with pytest.raises(ParseError, match="nested too deeply"):
+            load("[" * 200_000 + "]" * 200_000)
+        rows = [[{"re": 10**400, "im": 0}, {"re": 0, "im": 0}]] * 2
+        with pytest.raises(ParseError, match="entry \\(0,0\\)"):
+            load(json.dumps({"dims": [2], "matrix": rows}))
+
+    @given(JSON_DOCUMENTS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_json_document_loads_or_raises_a_package_error(self, doc):
+        try:
+            state = load(json.dumps(doc))
+        except HookupError:
+            return
+        assert isinstance(state, DensityMatrix)
 
     def test_invalid_state_rejected(self):
         doc = {
