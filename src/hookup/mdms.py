@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from io import StringIO
 from typing import Callable, Sequence
 
@@ -31,7 +31,7 @@ from .quantifiers import (
     _state_entropies,
     closest_classical,
 )
-from .search import OptimizerConfig, _bloch_axes, _outcome_rows, pauli_tensor
+from .search import OptimizerConfig, _bloch_axes, _outcome_rows, dephased_entropy, pauli_tensor
 from .states import DensityMatrix, mdms
 
 SCAN_COLUMNS = ("T", "C", "C_L", "C_M", "K", "M", "D", "J", "L")
@@ -189,12 +189,18 @@ def _first_root(f: Callable[[float], float], tol: float) -> tuple[float, tuple[f
     return 0.5 * (lo + hi), bracket
 
 
-def _angle_curvature(eps: float, theta0: float) -> float:
-    """Central second difference in theta of the dephased-state entropy."""
-    step = 1e-4
-    stencil = np.array([theta0 - step, theta0, theta0 + step])
-    h = _dephased_row(mdms(eps), stencil, stencil)[0]
-    return (h[2] - 2 * h[1] + h[0]) / step**2
+def _boundary_curvatures(state: DensityMatrix) -> np.ndarray:
+    """d2H(p)/dt2 of a two-qubit ``state`` turned by U(t, 0) x U(t, 0), at t = 0 and pi/4.
+
+    Both Bloch axes are n(t) = (sin 2t, 0, cos 2t) (see ``_dephased_row``), so
+    dn/dt = 2 m with m = n(t + pi/4) and d2n/dt2 = -4 n: the curvature is
+    4 (m^T d2H m - dH . n), read from the exact derivatives of the kernel.
+    """
+    t = np.array([0.0, math.pi / 4])
+    n, m = (np.repeat(_bloch_axes(-s, 0.0)[:, None], 2, axis=1) for s in (t, t + math.pi / 4))
+    _, grad, hess = dephased_entropy(pauli_tensor(state.matrix), n)
+    along = np.einsum("sqi,sqirj,srj->s", m, hess, m)
+    return 4 * (along - np.einsum("sqi,sqi->s", grad, n))
 
 
 def find_thresholds(
@@ -203,46 +209,37 @@ def find_thresholds(
 ) -> ThresholdResult:
     """Locate both epsilon thresholds of the family.
 
-    Both methods find the first sign change of a signed function of epsilon
-    on one grid and bisect it to 1e-6.  ``basis-switch`` reads the largest
-    polar angle of the unrotated member's argmin basis: eps' is where it first
-    exceeds ``SWITCH_DELTA`` (the basis departs from computational), eps''
-    where it first exceeds pi/4 - ``SWITCH_DELTA`` (it reaches the x basis).
-    ``derivative`` takes the second angle-derivative of the dephased-state
-    entropy at the two boundary angles (a stationary direction in each
-    regime), which changes sign exactly where each basis stops being a local
-    optimum.
+    Both methods read one signed pair per epsilon, cached, and find the first
+    sign change of each entry on one grid, bisected to 1e-6.  ``basis-switch``
+    reads the largest polar angle of the unrotated member's argmin basis:
+    eps' is where it first exceeds ``SWITCH_DELTA`` (the basis departs from
+    computational), eps'' where it first exceeds pi/4 - ``SWITCH_DELTA`` (it
+    reaches the x basis).  ``derivative`` takes the second angle-derivative of
+    the dephased-state entropy at the two boundary angles 0 and pi/4 (a
+    stationary direction in each regime), which changes sign exactly where
+    each basis stops being a local optimum.  ``cfg`` serves the basis-switch
+    searches only.
     """
-    cfg = cfg or OptimizerConfig()
-    if method == "basis-switch":
-        # Both thresholds scan the same epsilon grid, so each grid point's
-        # argmin is searched once and shared.
-        @cache
-        def switch_angle(eps: float) -> float:
-            basis = closest_classical(mdms(eps, 0.0, 0.0), cfg).basis
-            return max(a.theta for a in basis.angles)
-
-        def first(eps: float) -> float:
-            return switch_angle(eps) - SWITCH_DELTA
-
-        def second(eps: float) -> float:
-            return switch_angle(eps) - (math.pi / 4 - SWITCH_DELTA)
-
-    elif method == "derivative":
-        anchor = 1e-4
-        first = partial(_angle_curvature, theta0=anchor)
-        second = partial(_angle_curvature, theta0=math.pi / 4 - anchor)
-    else:
+    if method not in ("basis-switch", "derivative"):
         raise BadParams(f"unknown threshold method {method!r}")
+    cfg = cfg or OptimizerConfig()
 
-    eps_prime, bracket1 = _first_root(first, 1e-6)
-    eps_dprime, bracket2 = _first_root(second, 1e-6)
-    if method == "basis-switch":
-        residuals = {"switch_delta": SWITCH_DELTA}
-    else:
+    @cache
+    def pair(eps: float):
+        member = mdms(eps, 0.0, 0.0)
+        if method == "derivative":
+            return _boundary_curvatures(member)
+        angle = max(a.theta for a in closest_classical(member, cfg).basis.angles)
+        return angle - SWITCH_DELTA, angle - (math.pi / 4 - SWITCH_DELTA)
+
+    (eps_prime, bracket1), (eps_dprime, bracket2) = (
+        _first_root(lambda eps: pair(eps)[k], 1e-6) for k in (0, 1)
+    )
+    residuals = {"switch_delta": SWITCH_DELTA}
+    if method == "derivative":
         residuals = {
-            "eps_prime": abs(first(eps_prime)),
-            "eps_double_prime": abs(second(eps_dprime)),
+            "eps_prime": abs(pair(eps_prime)[0]),
+            "eps_double_prime": abs(pair(eps_dprime)[1]),
         }
     return ThresholdResult(
         eps_prime=eps_prime,

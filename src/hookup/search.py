@@ -16,6 +16,7 @@ smallest canonical angle norm (the computational basis wins exact ties).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,7 +58,8 @@ class OptimizerConfig:
     the most refined starts, ``tol`` the relative objective decrease per step
     below which a start stops, ``max_iter`` the per-start step cap.  The search
     is fully deterministic, so these four values fix the result: repeated runs
-    are bit-identical.  Raises BadParams on out-of-range values.
+    are bit-identical.  Raises BadParams on out-of-range values; the three
+    counts must be whole numbers and are kept as ints.
     """
 
     grid_points: int = 17
@@ -66,6 +68,11 @@ class OptimizerConfig:
     max_iter: int = 500
 
     def __post_init__(self):
+        for name in ("grid_points", "multistarts", "max_iter"):
+            k = getattr(self, name)
+            if not (isinstance(k, numbers.Real) and math.isfinite(k) and k == int(k)):
+                raise BadParams(f"{name} must be a whole number, got {k!r}")
+            object.__setattr__(self, name, int(k))
         if self.grid_points < 2 or self.multistarts < 1 or self.max_iter < 1:
             raise BadParams(
                 f"grid points must be at least 2 and starts and max_iter at least 1, got "

@@ -323,6 +323,11 @@ def save(state: DensityMatrix) -> str:
     return json.dumps({"dims": list(state.dims), "matrix": rows}, indent=1)
 
 
+def _is_number(value) -> bool:
+    # json.loads gives exactly int or float for a JSON number; a bool is neither here.
+    return type(value) in (int, float)
+
+
 def load(text: str) -> DensityMatrix:
     """Parse a state file; raises ParseError / ValidationError on bad input."""
     try:
@@ -338,13 +343,19 @@ def load(text: str) -> DensityMatrix:
         if not isinstance(doc["preset"], str):
             raise ParseError("preset must be a string naming a preset", field="preset")
         params = {k: v for k, v in doc.items() if k != "preset"}
+        for key, value in params.items():
+            if not all(map(_is_number, value if isinstance(value, list) else [value])):
+                raise ParseError(
+                    f"parameters of preset {doc['preset']!r} must be numbers or lists of numbers",
+                    field=key,
+                )
         return require_valid(preset(doc["preset"], **params))
 
     for key in ("dims", "matrix"):
         if key not in doc:
             raise ParseError("missing required field", field=key)
     dims = doc["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise ParseError("dims must be a list of integers", field="dims")
     rows = doc["matrix"]
     if not isinstance(rows, list) or not rows:
@@ -356,8 +367,11 @@ def load(text: str) -> DensityMatrix:
             raise ParseError(f"row {i} must have {n} entries", field="matrix")
         for j, entry in enumerate(row):
             try:
-                m[i, j] = complex(float(entry["re"]), float(entry["im"]))
-            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                re, im = entry["re"], entry["im"]
+                if not (_is_number(re) and _is_number(im)):
+                    raise TypeError("re and im must be JSON numbers")
+                m[i, j] = complex(float(re), float(im))
+            except (TypeError, KeyError, OverflowError) as exc:
                 raise ParseError(
                     f"entry ({i},{j}) must be an object with numeric re/im",
                     field="matrix",

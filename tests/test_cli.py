@@ -122,10 +122,14 @@ class TestCompute:
             (b'{"preset": "caf\xe9"}', "UTF-8"),
             (json.dumps({**json.loads(WHITE_NOISE), "dims": [2**62 + 1, 4]}).encode(), "dims"),
             (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+            (b'{"preset": "mdms", "epsilon": true}', "epsilon"),
+            (b'{"preset": "diagonal", "probs": [true, false]}', "probs"),
+            (WHITE_NOISE.replace('"re": 0.25', '"re": "0.25"', 1).encode(), "entry (0,0)"),
         ],
         ids=["non-string-preset", "ghz-n-text", "ghz-n-fraction", "probs-text", "dims-text",
              "dims-fraction", "dims-infinite", "dims-digit-text", "latin-1",
-             "dims-product-past-int64", "deep-nesting"],
+             "dims-product-past-int64", "deep-nesting", "epsilon-bool", "probs-bools",
+             "entry-text"],
     )
     def test_bad_preset_file_exit_2(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "preset.json"

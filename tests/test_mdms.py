@@ -14,6 +14,7 @@ from hookup import (
 )
 from hookup.mdms import (
     ScanTable,
+    _boundary_curvatures,
     _dephased_row,
     _first_root,
     compare_jk,
@@ -122,7 +123,7 @@ def derivative_thresholds():
 class TestThresholds:
     def test_derivative_method(self, derivative_thresholds):
         result = derivative_thresholds
-        assert abs(result.eps_prime - 2 / 3) <= 0.01
+        assert abs(result.eps_prime - 2 / 3) <= 1e-5
         assert abs(result.eps_double_prime - 0.76) <= 0.01
         assert 0 < result.eps_prime < result.eps_double_prime < 1
 
@@ -149,6 +150,18 @@ class TestThresholds:
     def test_unknown_method(self):
         with pytest.raises(BadParams):
             find_thresholds("newton")
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.5, 0.6, 2 / 3, 0.7, 0.7616, 0.8, 0.9, 0.99])
+def test_boundary_curvatures_match_central_differences(eps):
+    # The kernel's exact curvature at t = 0 itself, where the |01> weight of
+    # every member is 0, and at pi/4, against a three-point stencil around each.
+    state, step = mdms(eps), 1e-4
+    exact = _boundary_curvatures(state)
+    for t, value in zip([0.0, np.pi / 4], exact):
+        stencil = np.array([t - step, t, t + step])
+        h = _dephased_row(state, stencil, stencil)[0]
+        assert abs((h[2] - 2 * h[1] + h[0]) / step**2 - value) <= 1e-5
 
 
 EPS_GRID = np.linspace(0.05, 0.99, 20)

@@ -20,6 +20,7 @@ from conftest import (
     second_order_certificate,
 )
 from hookup import (
+    BadParams,
     DensityMatrix,
     NotAllQubits,
     OptimizerConfig,
@@ -517,6 +518,20 @@ def recorded_objectives(monkeypatch, state):
 
 
 class TestMinimizeOverProductBases:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("multistarts", 2.5), ("max_iter", 2.5), ("grid_points", 9.5),
+         ("grid_points", math.inf), ("max_iter", math.nan), ("multistarts", "8")],
+    )
+    def test_config_counts_must_be_whole(self, field, value):
+        with pytest.raises(BadParams, match=field):
+            full_report(preset("bell"), cfg=OptimizerConfig(**{field: value}))
+
+    def test_config_keeps_whole_counts_as_ints(self):
+        cfg = OptimizerConfig(grid_points=9.0, multistarts=np.int64(4), max_iter=30.0)
+        assert (cfg.grid_points, cfg.multistarts, cfg.max_iter) == (9, 4, 30)
+        assert all(type(v) is int for v in (cfg.grid_points, cfg.multistarts, cfg.max_iter))
+
     def test_constant_objective(self):
         def objective(axes):
             return 1.25

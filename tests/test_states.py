@@ -262,6 +262,9 @@ class TestPresets:
             preset("bell", name="ghz")
 
 
+ZERO = {"re": 0, "im": 0}
+
+
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(5)
@@ -295,6 +298,26 @@ class TestSerialization:
         rows = [[{"re": 10**400, "im": 0}, {"re": 0, "im": 0}]] * 2
         with pytest.raises(ParseError, match="entry \\(0,0\\)"):
             load(json.dumps({"dims": [2], "matrix": rows}))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dims": [2], "matrix": [[{"re": "1", "im": 0}, ZERO], [ZERO, ZERO]]},
+            {"dims": [2], "matrix": [[{"re": True, "im": 0}, ZERO], [ZERO, ZERO]]},
+            {"dims": [2], "matrix": [[{"re": 1, "im": False}, ZERO], [ZERO, ZERO]]},
+            {"dims": [True, True], "matrix": [[{"re": 1, "im": 0}]]},
+            {"preset": "mdms", "epsilon": True},
+            {"preset": "mdms", "epsilon": "0.5"},
+            {"preset": "diagonal", "probs": [True, False]},
+            {"preset": "diagonal", "probs": ["0.5", 0.5]},
+        ],
+        ids=["re-text", "re-bool", "im-bool", "dims-bools", "epsilon-bool", "epsilon-text",
+             "probs-bools", "probs-text"],
+    )
+    def test_numbers_only(self, doc):
+        # No field of the format is boolean, and text never stands for a number.
+        with pytest.raises(ParseError):
+            load(json.dumps(doc))
 
     @given(JSON_DOCUMENTS)
     @settings(max_examples=300, deadline=None, derandomize=True)
