@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import BadParams, DimensionMismatch, NotAllQubits, NotUnitary
+from .errors import BadParams, DimensionMismatch, NotAllQubits, NotUnitary, whole_number
 from .states import DensityMatrix
 
 TWO_PI = 2 * math.pi
@@ -65,7 +65,7 @@ class ProductBasis:
     def __post_init__(self):
         factors = []
         for i, f in enumerate(self.factors):
-            u = linalg.as_square(f)
+            u = linalg.as_square(f).copy()
             if not linalg.max_abs(u @ u.conj().T - np.eye(u.shape[0])) <= linalg.UNITARITY_TOL:
                 raise NotUnitary(f"basis factor {i} is not unitary within 1e-9 or not finite")
             u.setflags(write=False)
@@ -87,12 +87,9 @@ class ProductBasis:
 
 
 def computational_basis(dims: Sequence[int]) -> ProductBasis:
-    return ProductBasis(
-        tuple(np.eye(int(d), dtype=complex) for d in dims),
-        angles=tuple(QubitBasisAngles(0.0, 0.0) for _ in dims)
-        if all(int(d) == 2 for d in dims)
-        else None,
-    )
+    dims = tuple(whole_number(d, "dims", 1) for d in dims)
+    angles = tuple(QubitBasisAngles(0.0, 0.0) for _ in dims) if all(d == 2 for d in dims) else None
+    return ProductBasis(tuple(np.eye(d, dtype=complex) for d in dims), angles=angles)
 
 
 def basis_from_angles(
@@ -112,7 +109,7 @@ def basis_from_angles(
             theta, phi = a
             pairs.append(QubitBasisAngles(float(theta), float(phi)))
     if dims is not None:
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(whole_number(d, "dims") for d in dims)
         if any(d != 2 for d in dims):
             raise NotAllQubits(f"angle bases require qubit subsystems, got dims {dims}")
         if len(dims) != len(pairs):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class HookupError(Exception):
     """Base class for all package errors."""
@@ -29,6 +31,18 @@ class UnknownPreset(HookupError):
 
 class BadParams(HookupError):
     """Preset or command parameters are out of range or missing."""
+
+
+def whole_number(value, name: str, least: float = -math.inf, most: float = math.inf) -> int:
+    """``value`` as an int if it is a finite whole number in [least, most], else BadParams."""
+    try:
+        k = int(value)
+    except (TypeError, ValueError, OverflowError):
+        k = None
+    if k is None or k != value or not least <= k <= most:
+        span = "" if (least, most) == (-math.inf, math.inf) else f" in [{least}, {most}]"
+        raise BadParams(f"{name} must be a whole number{span}, got {value!r}")
+    return k
 
 
 class NotAllQubits(HookupError):

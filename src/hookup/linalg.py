@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NonHermitian
+from .errors import DimensionMismatch, NoConvergence, NonHermitian, whole_number
 
 HERMITICITY_TOL = 1e-9
 UNITARITY_TOL = 1e-9
@@ -86,8 +86,8 @@ def partial_trace(m, dims: Sequence[int], keep: int) -> np.ndarray:
     with the same trace as the input.
     """
     a = as_square(m)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
+    dims = tuple(whole_number(d, "dims", 1) for d in dims)
+    keep, n = whole_number(keep, "keep"), len(dims)
     if math.prod(dims) != a.shape[0]:
         raise DimensionMismatch(
             f"product of dims {dims} != matrix dimension {a.shape[0]}"

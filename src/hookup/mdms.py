@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadParams, NoRootBracketed
+from .errors import BadParams, NoRootBracketed, whole_number
 from .quantifiers import (
     _dephased_entropies,
     _fixed_basis_values,
@@ -97,8 +97,8 @@ def scan_mdms(
     """
     from . import __version__
 
-    if theta_points < 2 or epsilon_points < 2:
-        raise BadParams("grid sizes must be at least 2")
+    theta_points = whole_number(theta_points, "theta_points", 2)
+    epsilon_points = whole_number(epsilon_points, "epsilon_points", 2)
     if not 0.0 < theta_max <= math.pi / 4 + 1e-12:
         raise BadParams(f"theta_max must lie in (0, pi/4], got {theta_max}")
     cfg = cfg or OptimizerConfig()
@@ -218,7 +218,7 @@ def find_thresholds(
     the dephased-state entropy at the two boundary angles 0 and pi/4 (a
     stationary direction in each regime), which changes sign exactly where
     each basis stops being a local optimum.  ``cfg`` serves the basis-switch
-    searches only.
+    searches only; BadParams when under it no epsilon reads as switched.
     """
     if method not in ("basis-switch", "derivative"):
         raise BadParams(f"unknown threshold method {method!r}")
@@ -232,9 +232,18 @@ def find_thresholds(
         angle = max(a.theta for a in closest_classical(member, cfg).basis.angles)
         return angle - SWITCH_DELTA, angle - (math.pi / 4 - SWITCH_DELTA)
 
-    (eps_prime, bracket1), (eps_dprime, bracket2) = (
-        _first_root(lambda eps: pair(eps)[k], 1e-6) for k in (0, 1)
-    )
+    try:
+        (eps_prime, bracket1), (eps_dprime, bracket2) = (
+            _first_root(lambda eps: pair(eps)[k], 1e-6) for k in (0, 1)
+        )
+    except NoRootBracketed as exc:
+        if method == "derivative":
+            raise
+        # A loose tol stops the searches short of the x basis when the grid misses it.
+        raise BadParams(
+            f"{exc}: searches at grid={cfg.grid_points} tol={cfg.tol!r} never reached the "
+            "switch angles; use a finer grid or a smaller tol"
+        ) from exc
     residuals = {"switch_delta": SWITCH_DELTA}
     if method == "derivative":
         residuals = {
@@ -265,8 +274,9 @@ def compare_jk(
     K is the computational-basis irreducible classical information of the
     rotated member; J is the (rotation-invariant) classical correlations.
     """
-    if theta_points < 65:
-        raise BadParams("theta grid must have at least 65 points")
+    theta_points = whole_number(theta_points, "theta_points", 65)
+    if len(epsilons) == 0:
+        raise BadParams("compare_jk needs at least one epsilon")
     cfg = cfg or OptimizerConfig()
     thetas = np.linspace(0.0, math.pi / 4, theta_points)
     rows = []

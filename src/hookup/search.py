@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import QubitBasisAngles, axis_angles
-from .errors import BadParams
+from .errors import BadParams, whole_number
 from .states import _clipped_log2
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
@@ -58,8 +58,8 @@ class OptimizerConfig:
     the most refined starts, ``tol`` the relative objective decrease per step
     below which a start stops, ``max_iter`` the per-start step cap.  The search
     is fully deterministic, so these four values fix the result: repeated runs
-    are bit-identical.  Raises BadParams on out-of-range values; the three
-    counts must be whole numbers and are kept as ints.
+    are bit-identical.  Raises BadParams on out-of-range values: the three
+    counts must be whole numbers, kept as ints, and ``tol`` must lie in (0, 1).
     """
 
     grid_points: int = 17
@@ -68,18 +68,10 @@ class OptimizerConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        for name in ("grid_points", "multistarts", "max_iter"):
-            k = getattr(self, name)
-            if not (isinstance(k, numbers.Real) and math.isfinite(k) and k == int(k)):
-                raise BadParams(f"{name} must be a whole number, got {k!r}")
-            object.__setattr__(self, name, int(k))
-        if self.grid_points < 2 or self.multistarts < 1 or self.max_iter < 1:
-            raise BadParams(
-                f"grid points must be at least 2 and starts and max_iter at least 1, got "
-                f"grid={self.grid_points} starts={self.multistarts} max_iter={self.max_iter}"
-            )
-        if not self.tol > 0:
-            raise BadParams(f"tol must be positive, got {self.tol!r}")
+        for name, least in (("grid_points", 2), ("multistarts", 1), ("max_iter", 1)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, least))
+        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
+            raise BadParams(f"tol must be a relative decrease in (0, 1), got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def effective_grid_points(requested: int, n_qubits: int) -> int:
     A count that must shrink becomes the largest odd one that fits, at least
     3, so the midpoint theta = pi/4 stays on the grid.
     """
-    pts, power = max(3, int(requested)), 2 * n_qubits
+    pts, power = max(3, whole_number(requested, "grid points")), 2 * n_qubits
     if pts**power <= GRID_CELL_BUDGET:
         return pts
     # The float root is within one of the largest count that fits.

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     UnknownPreset,
     ValidationError,
+    whole_number,
 )
 
 HERMITICITY_TOL = linalg.HERMITICITY_TOL
@@ -40,9 +41,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
-        if dims != tuple(self.dims):
-            raise BadParams(f"dims must be whole numbers, got {self.dims!r}")
+        dims = tuple(whole_number(d, "dims") for d in self.dims)
         m = np.array(self.matrix, dtype=complex)
         if not dims or any(d < 2 for d in dims):
             raise DimensionMismatch(f"dims need one or more subsystems, each >= 2, got {dims}")
@@ -240,9 +239,7 @@ def mdms(epsilon: float, theta: float = 0.0, phi: float = 0.0) -> DensityMatrix:
 
 def ghz(n: int = 3) -> DensityMatrix:
     """n-qubit GHZ state (|0...0> + |1...1>)/sqrt(2)."""
-    if not 2 <= n <= 6 or n != int(n):
-        raise BadParams(f"ghz preset supports 2..6 qubits, got {n}")
-    n = int(n)
+    n = whole_number(n, "ghz qubit count", 2, 6)
     dims = (2,) * n
     v = (_ket([0] * n, dims) + _ket([1] * n, dims)) / math.sqrt(2)
     return DensityMatrix(dims, _proj(v))
@@ -293,7 +290,7 @@ def preset(name: str, /, **params) -> DensityMatrix:
         )
     try:
         return _PRESETS[name](**params)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError, BadParams) as exc:
         raise BadParams(f"bad parameters for preset {name!r}: {exc}") from exc
 
 

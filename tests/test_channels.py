@@ -61,6 +61,14 @@ class TestBasisFromAngles:
         with pytest.raises(NotAllQubits):
             basis_from_angles([(0.1, 0.0), (0.2, 0.0)], dims=(2, 3))
 
+    def test_caller_array_stays_writable(self):
+        u = np.eye(2, dtype=complex)
+        basis = ProductBasis((u, u))
+        u[0, 0] = -1
+        assert basis.is_identity() and basis.factors[0][0, 0] == 1
+        with pytest.raises(ValueError):
+            basis.factors[0][0, 0] = 0
+
     def test_non_unitary_factor_rejected(self):
         with pytest.raises(NotUnitary):
             ProductBasis((np.array([[1, 1], [0, 1]], dtype=complex),))

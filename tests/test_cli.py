@@ -1,7 +1,12 @@
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hookup import DensityMatrix, save
 from hookup.cli import main
@@ -160,6 +165,11 @@ class TestCompute:
             ["compare-jk", "--epsilons", "0.5,x"],
             ["scan-mdms", "--grid", "1"],
             ["thresholds", "--tol", "-1"],
+            ["compute", "--preset", "mdms", "--epsilon", "0.7", "--tol", "inf"],
+            ["compute", "--preset", "bell", "--tol", "10"],
+            ["compute", "--preset", "bell", "--tol", "1"],
+            ["compare-jk", "--epsilons", "", "--format", "csv"],
+            ["compare-jk", "--epsilons", ",,", "--format", "csv"],
         ],
     )
     def test_malformed_numbers_exit_2(self, capsys, argv):
@@ -275,6 +285,14 @@ class TestScan:
 
 
 class TestThresholdsCommand:
+    def test_unresolved_basis_switch_exit_2(self, capsys):
+        # An even grid misses the x basis, and a loose tol stops every search
+        # short of it, so no epsilon reads as switched: the flags are at fault.
+        code, out, err = run(capsys, "thresholds", "--grid", "4", "--starts", "1", "--tol", "0.01")
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and "tol" in err
+        assert out == ""
+
     def test_derivative_json(self, capsys):
         code, out, _ = run(capsys, "thresholds", "--method", "derivative", "--format", "json")
         assert code == 0
@@ -293,3 +311,66 @@ class TestCompareJk:
         assert header.startswith("epsilon,")
         values = dict(zip(header.split(","), [float(x) for x in row.split(",")]))
         assert values["max_K_minus_J"] <= 1e-6
+
+
+# Every kind of float argparse accepts, the extremes included.
+FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e308, -1e308]),
+    st.floats(0, 1),
+    st.floats(),
+)
+PRESETS = ["bell", "paper-example", "w-mixture", "mdms", "ghz", "classical-correlated", "diagonal"]
+
+
+def mostly(good, wild):
+    """Values that often pass validation, so that runs reach the numerics too."""
+    return st.one_of(good, good, wild)
+
+
+def float_list(good):
+    return st.lists(mostly(good, FLOATS), max_size=4).map(lambda xs: ",".join(map(repr, xs)))
+
+
+@st.composite
+def cli_argv(draw):
+    """Arguments argparse accepts, for every command but verify, at small grids."""
+    command = draw(st.sampled_from(["compute", "scan-mdms", "compare-jk", "thresholds"]))
+    argv = [
+        command,
+        f"--grid={draw(mostly(st.integers(2, 5), st.integers(-2, 5)))}",
+        f"--starts={draw(mostly(st.integers(1, 2), st.integers(-1, 2)))}",
+    ]
+    if draw(st.booleans()):
+        argv.append(f"--tol={draw(mostly(st.floats(1e-12, 0.5), FLOATS))!r}")
+    if command == "compute":
+        argv.append(f"--preset={draw(mostly(st.sampled_from(PRESETS), st.text(max_size=6)))}")
+        keys = draw(mostly(st.just([]), st.lists(st.sampled_from(["epsilon", "theta", "phi"]))))
+        argv += [f"--{key}={draw(mostly(st.floats(0, 0.7), FLOATS))!r}" for key in keys]
+        if draw(st.booleans()):
+            argv.append(f"--basis-angles={draw(float_list(st.floats(-7, 7)))}")
+        argv.append(f"--format={draw(st.sampled_from(['text', 'json']))}")
+    elif command == "scan-mdms":
+        argv.append(f"--theta-points={draw(mostly(st.integers(2, 70), st.integers(-2, 70)))}")
+        argv.append(f"--epsilon-points={draw(mostly(st.integers(2, 4), st.integers(-2, 4)))}")
+    elif command == "compare-jk":
+        argv.append(f"--epsilons={draw(float_list(st.floats(0.01, 0.99)))}")
+        argv.append(f"--theta-points={draw(mostly(st.integers(65, 70), st.integers(-2, 70)))}")
+        argv.append(f"--format={draw(st.sampled_from(['text', 'json', 'csv']))}")
+    else:
+        argv.append(f"--method={draw(st.sampled_from(['basis-switch', 'derivative']))}")
+        argv.append(f"--format={draw(st.sampled_from(['text', 'json']))}")
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_any_parsed_flags_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2), (argv, err.getvalue())
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == ""

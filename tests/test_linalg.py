@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_unitary
 from hookup import (
+    BadParams,
     DimensionMismatch,
     NonHermitian,
     hermitian_eig,
@@ -118,6 +119,16 @@ class TestPartialTrace:
             partial_trace(np.eye(4), (2, 2), 2)
         with pytest.raises(DimensionMismatch):
             partial_trace(np.eye(4), (2**62 + 1, 4), 0)
+
+    @pytest.mark.parametrize(
+        "dims, keep, field",
+        [((2.5, 2), 0, "dims"), ((2, 2.5), 0, "dims"), ((-2, -2), 0, "dims"),
+         ((2, 2), 1.5, "keep"), ((2, 2), "0", "keep")],
+    )
+    def test_dims_and_keep_must_be_whole(self, dims, keep, field):
+        # (2.5, 2) used to run as (2, 2), and (-2, -2) ended in a reshape error.
+        with pytest.raises(BadParams, match=field):
+            partial_trace(np.eye(4) / 4, dims, keep)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -81,6 +81,15 @@ class TestScan:
         with pytest.raises(BadParams):
             scan_mdms(theta_points=1, epsilon_points=11)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("theta_points", 2.5), ("epsilon_points", 2.5), ("theta_points", float("inf")),
+         ("epsilon_points", float("nan"))],
+    )
+    def test_grid_sizes_must_be_whole(self, field, value):
+        with pytest.raises(BadParams, match=field):
+            scan_mdms(**{"theta_points": 3, "epsilon_points": 3, field: value})
+
 
 class TestCsv:
     def test_round_trip_bit_exact(self, small_scan):
@@ -235,6 +244,15 @@ class TestCompareJk:
             compare_jk([0.5], theta_points=30)
         with pytest.raises(BadParams):
             compare_jk([1.2])
+
+    @pytest.mark.parametrize("theta_points", [65.5, float("nan"), float("inf"), "65"])
+    def test_theta_points_must_be_whole(self, theta_points):
+        with pytest.raises(BadParams, match="theta_points"):
+            compare_jk([0.5], theta_points=theta_points)
+
+    def test_needs_an_epsilon(self):
+        with pytest.raises(BadParams, match="epsilon"):
+            compare_jk([])
 
 
 class TestParams:

@@ -385,6 +385,13 @@ class TestScaling:
         assert effective_grid_points(17, 3) == 13
         assert effective_grid_points(17, 4) == 7
 
+    @pytest.mark.parametrize("requested", [9.7, math.nan, math.inf, "9"])
+    def test_grid_request_must_be_whole(self, requested):
+        from hookup.search import effective_grid_points
+
+        with pytest.raises(BadParams, match="grid points"):
+            effective_grid_points(requested, 3)
+
     @staticmethod
     def shrink_grid(requested, n_qubits):
         # The budget rule as a loop: step down, odd counts by 2, until it fits.
@@ -526,6 +533,13 @@ class TestMinimizeOverProductBases:
     def test_config_counts_must_be_whole(self, field, value):
         with pytest.raises(BadParams, match=field):
             full_report(preset("bell"), cfg=OptimizerConfig(**{field: value}))
+
+    @pytest.mark.parametrize("tol", [math.inf, 1e300, 10, 1.0, "1e-9"])
+    def test_config_tol_is_a_relative_decrease(self, tol):
+        # A start stops once a step lowers its value by less than tol relative
+        # to it, so only 0 < tol < 1 asks for any work.
+        with pytest.raises(BadParams, match="tol"):
+            OptimizerConfig(tol=tol)
 
     def test_config_keeps_whole_counts_as_ints(self):
         cfg = OptimizerConfig(grid_points=9.0, multistarts=np.int64(4), max_iter=30.0)

@@ -120,6 +120,12 @@ def test_dimension_guards():
         DensityMatrix((2**62 + 1, 4), np.eye(4) / 4)
 
 
+@pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+def test_dims_must_be_whole(d):
+    with pytest.raises(BadParams, match="dims"):
+        DensityMatrix((d, 2), np.eye(4) / 4)
+
+
 class TestEntropy:
     def test_pure_state_zero(self):
         assert von_neumann_entropy(preset("bell")) <= 1e-12
