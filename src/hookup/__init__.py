@@ -4,7 +4,6 @@ from .channels import (
     ProductBasis,
     QubitBasisAngles,
     basis_from_angles,
-    canonical_angles,
     commutation_check,
     computational_basis,
     dephase,

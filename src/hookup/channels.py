@@ -120,21 +120,6 @@ def basis_from_angles(
     return ProductBasis(factors, angles=tuple(pairs))
 
 
-def canonical_angles(factor: np.ndarray) -> QubitBasisAngles:
-    """Angles of the unordered projector pair of a 2x2 unitary.
-
-    The ``axis_angles`` of the Bloch axis of its first column, so theta lies
-    in [0, pi/4].  The returned angles regenerate the same projector set via
-    ``basis_from_angles``.
-    """
-    u = linalg.as_square(factor)
-    if u.shape != (2, 2):
-        raise DimensionMismatch("canonical_angles expects a 2x2 unitary")
-    p0, p1 = u[0, 0], u[1, 0]
-    cross = p0 * np.conj(p1)
-    return axis_angles(np.array([2 * cross.real, -2 * cross.imag, abs(p0) ** 2 - abs(p1) ** 2]))
-
-
 def axis_angles(n: np.ndarray) -> QubitBasisAngles:
     """Angles of the projector pair (I +- n.sigma)/2 of a unit Bloch axis n.
 

@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid", type=int, default=defaults.grid_points, help="coarse grid points per angle"
         )
-        p.add_argument("--tol", type=float, default=defaults.tol, help="objective tolerance")
 
     p = sub.add_parser("compute", help="full quantifier report for one state")
     add_state_flags(p)
@@ -88,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> OptimizerConfig:
-    return OptimizerConfig(grid_points=args.grid, multistarts=args.starts, tol=args.tol)
+    return OptimizerConfig(grid_points=args.grid, multistarts=args.starts)
 
 
 def _parse_floats(flag: str, text: str) -> list[float]:

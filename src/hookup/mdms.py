@@ -113,8 +113,7 @@ def scan_mdms(
     provenance = (
         f"hookup scan-mdms version={__version__}",
         f"theta_points={theta_points} epsilon_points={epsilon_points} theta_max={theta_max!r}",
-        f"optimizer grid={cfg.grid_points} starts={cfg.multistarts} tol={cfg.tol!r} "
-        f"max_iter={cfg.max_iter}",
+        f"optimizer grid={cfg.grid_points} starts={cfg.multistarts} max_iter={cfg.max_iter}",
         "columns: " + ",".join(CSV_HEADER),
     )
     return ScanTable(thetas=thetas, epsilons=epsilons, columns=cols, provenance=provenance)
@@ -218,7 +217,7 @@ def find_thresholds(
     the dephased-state entropy at the two boundary angles 0 and pi/4 (a
     stationary direction in each regime), which changes sign exactly where
     each basis stops being a local optimum.  ``cfg`` serves the basis-switch
-    searches only; BadParams when under it no epsilon reads as switched.
+    searches only.
     """
     if method not in ("basis-switch", "derivative"):
         raise BadParams(f"unknown threshold method {method!r}")
@@ -232,18 +231,9 @@ def find_thresholds(
         angle = max(a.theta for a in closest_classical(member, cfg).basis.angles)
         return angle - SWITCH_DELTA, angle - (math.pi / 4 - SWITCH_DELTA)
 
-    try:
-        (eps_prime, bracket1), (eps_dprime, bracket2) = (
-            _first_root(lambda eps: pair(eps)[k], 1e-6) for k in (0, 1)
-        )
-    except NoRootBracketed as exc:
-        if method == "derivative":
-            raise
-        # A loose tol stops the searches short of the x basis when the grid misses it.
-        raise BadParams(
-            f"{exc}: searches at grid={cfg.grid_points} tol={cfg.tol!r} never reached the "
-            "switch angles; use a finer grid or a smaller tol"
-        ) from exc
+    (eps_prime, bracket1), (eps_dprime, bracket2) = (
+        _first_root(lambda eps: pair(eps)[k], 1e-6) for k in (0, 1)
+    )
     residuals = {"switch_delta": SWITCH_DELTA}
     if method == "derivative":
         residuals = {

@@ -16,14 +16,13 @@ smallest canonical angle norm (the computational basis wins exact ties).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import QubitBasisAngles, axis_angles
-from .errors import BadParams, whole_number
+from .errors import whole_number
 from .states import _clipped_log2
 
 # Soft cap on coarse-grid cells; keeps 3- and 4-qubit searches at desk scale.
@@ -35,10 +34,12 @@ _BLOCK = 2**15
 # Grid values, off a direct evaluation by ulps, this close to the grid minimum
 # count as an exact tie when seeding (Bell-state continua, classical states).
 _SEED_TIE = 1e-12
-# The refinement's tangent-gradient tolerance (bits per radian), the curvature
-# it escapes below, its |curvature| floor, step cap (radians) and halvings, and
-# the floor on the weights that the Hessian divides by.
+# The refinement's tangent-gradient tolerance (bits per radian), the relative
+# value decrease per step below which a start stops, the curvature it escapes
+# below, its |curvature| floor, step cap (radians) and halvings, and the floor
+# on the weights that the Hessian divides by.
 _GRAD_TOL = 1e-9
+_REL_DECREASE = 1e-9
 _NEG_CURVATURE = -1e-5
 _MIN_CURVATURE = 1e-8
 _MAX_STEP = 0.5
@@ -55,28 +56,30 @@ class OptimizerConfig:
     """Knobs for the product-basis search.
 
     ``grid_points`` is the coarse grid resolution per angle, ``multistarts``
-    the most refined starts, ``tol`` the relative objective decrease per step
-    below which a start stops, ``max_iter`` the per-start step cap.  The search
-    is fully deterministic, so these four values fix the result: repeated runs
-    are bit-identical.  Raises BadParams on out-of-range values: the three
-    counts must be whole numbers, kept as ints, and ``tol`` must lie in (0, 1).
+    the most refined starts, ``max_iter`` the per-start step cap.  The search
+    is fully deterministic, so these three values fix the result: repeated
+    runs are bit-identical.  Raises BadParams on out-of-range values: the
+    three counts must be whole numbers, kept as ints.
     """
 
     grid_points: int = 17
     multistarts: int = 8
-    tol: float = 1e-9
     max_iter: int = 500
 
     def __post_init__(self):
         for name, least in (("grid_points", 2), ("multistarts", 1), ("max_iter", 1)):
             object.__setattr__(self, name, whole_number(getattr(self, name), name, least))
-        if not (isinstance(self.tol, numbers.Real) and 0 < self.tol < 1):
-            raise BadParams(f"tol must be a relative decrease in (0, 1), got {self.tol!r}")
 
 
 @dataclass(frozen=True)
 class OptimizerResult:
-    """Best product basis found, as folded per-qubit angles plus metadata."""
+    """Best product basis found, as folded per-qubit angles plus metadata.
+
+    ``converged`` says that the returned start stopped before ``max_iter``:
+    its tangent gradient fell to ``_GRAD_TOL`` or a step lowered its value by
+    at most ``_REL_DECREASE`` relative.  It is not a gradient certificate; on
+    pure 2-qubit states converged starts keep tangent gradients up to 2e-5.
+    """
 
     angles: tuple[QubitBasisAngles, ...]
     value: float
@@ -260,8 +263,8 @@ def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
     per axis, adds ``_MAX_STEP`` downhill along the lowest where lambda_min <
     ``_NEG_CURVATURE``, and is capped, halved until the value drops and
     renormalised.  A start converges once |g| <= ``_GRAD_TOL`` without such
-    curvature or a step lowers the value by at most ``cfg.tol`` relative (by 0
-    when no halving does); else it stops after ``cfg.max_iter`` steps.
+    curvature or a step lowers the value by at most ``_REL_DECREASE`` relative
+    (by 0 when no halving does); else it stops after ``cfg.max_iter`` steps.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[1]
@@ -302,7 +305,7 @@ def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
             left = left[~drop]
             moves[left] /= 2
         scale = np.maximum(1, np.maximum(np.abs(start), np.abs(f[active])))
-        active = active[start - f[active] > cfg.tol * scale]
+        active = active[start - f[active] > _REL_DECREASE * scale]
     return x, f, nfev, ~np.isin(np.arange(len(x)), active)
 
 

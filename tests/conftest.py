@@ -77,6 +77,12 @@ def bloch_axes(thetas, phis) -> np.ndarray:
     return np.stack([-s2t * np.cos(phis), s2t * np.sin(phis), np.cos(2 * thetas)], axis=-1)
 
 
+def first_column_axis(u: np.ndarray) -> np.ndarray:
+    """Bloch axis <c|sigma|c> of the first column c of a 2x2 unitary."""
+    c = np.asarray(u)[:, 0]
+    return np.array([(c.conj() @ s @ c).real for s in PAULIS])
+
+
 def recorded_searches(monkeypatch, state: DensityMatrix, cfg=None) -> list:
     """(objective, returned) of each basis search in ``full_report(state, cfg=cfg)``.
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_product_basis, random_state
+from conftest import first_column_axis, random_product_basis, random_state
 from hookup import (
     DensityMatrix,
     DimensionMismatch,
@@ -13,7 +13,6 @@ from hookup import (
     NotUnitary,
     ProductBasis,
     basis_from_angles,
-    canonical_angles,
     commutation_check,
     computational_basis,
     dephase,
@@ -23,6 +22,7 @@ from hookup import (
     qubit_unitary,
     validate,
 )
+from hookup.channels import axis_angles
 
 
 class TestBasisFromAngles:
@@ -85,7 +85,7 @@ class TestCanonicalAngles:
     @settings(max_examples=60, deadline=None)
     def test_reconstruction_gives_same_projectors(self, theta, phi):
         u = qubit_unitary(theta, phi)
-        folded = canonical_angles(u)
+        folded = axis_angles(first_column_axis(u))
         v = qubit_unitary(folded.theta, folded.phi)
         p_u = sorted(
             np.round([np.outer(c, c.conj()) for c in u.T], 9).tolist(),
@@ -98,12 +98,12 @@ class TestCanonicalAngles:
         assert np.allclose(np.array(p_u, dtype=complex), np.array(p_v, dtype=complex), atol=1e-8)
 
     def test_identity_on_fundamental_domain(self):
-        folded = canonical_angles(qubit_unitary(0.6, 2.5))
+        folded = axis_angles(first_column_axis(qubit_unitary(0.6, 2.5)))
         assert abs(folded.theta - 0.6) < 1e-12
         assert abs(folded.phi - 2.5) < 1e-12
 
     def test_theta_capped_at_quarter_pi(self):
-        folded = canonical_angles(qubit_unitary(1.2, 0.7))
+        folded = axis_angles(first_column_axis(qubit_unitary(1.2, 0.7)))
         assert 0 <= folded.theta <= math.pi / 4 + 1e-12
 
 

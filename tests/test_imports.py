@@ -33,3 +33,23 @@ def test_import_leaves_scipy_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a source file imports but never references."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_every_import_is_used():
+    # __init__.py imports to re-export, so only the other modules are checked.
+    modules = [p for p in Path(hookup.__file__).parent.glob("*.py") if p.name != "__init__.py"]
+    found = {p.name: unused_imports(p) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -156,6 +156,15 @@ class TestThresholds:
         gap = abs(switch_thresholds.eps_double_prime - derivative_thresholds.eps_double_prime)
         assert gap <= 1e-4
 
+    @pytest.mark.parametrize("grid", [4, 8, 10, 12])
+    def test_even_grids_resolve_the_switch(self, grid, switch_thresholds, derivative_thresholds):
+        # An even grid misses the x basis, so eps'' rests on the refinement
+        # reaching it from one start.  eps' is compared with the default
+        # search, since its SWITCH_DELTA bias (3.4e-4) exceeds 1e-4 there too.
+        result = find_thresholds("basis-switch", OptimizerConfig(grid_points=grid, multistarts=1))
+        assert abs(result.eps_double_prime - derivative_thresholds.eps_double_prime) <= 1e-4
+        assert abs(result.eps_prime - switch_thresholds.eps_prime) <= 1e-4
+
     def test_unknown_method(self):
         with pytest.raises(BadParams):
             find_thresholds("newton")
