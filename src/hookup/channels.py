@@ -20,37 +20,17 @@ from .states import DensityMatrix
 TWO_PI = 2 * math.pi
 
 
-def fold_qubit_angles(theta: float, phi: float) -> tuple[float, float]:
-    """Map arbitrary real angles onto theta in [0, pi/2], phi in [0, 2*pi).
-
-    The dephasing projector set is invariant under theta -> theta + pi and
-    under (theta, phi) -> (-theta, phi + pi), so any real pair has an
-    equivalent inside the fundamental ranges.  Raises BadParams on a
-    non-finite angle.
-    """
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise BadParams(f"basis angles must be finite, got theta={theta}, phi={phi}")
-    theta = math.fmod(theta, math.pi)
-    if theta < 0:
-        theta += math.pi
-    if theta > math.pi / 2:
-        theta = math.pi - theta
-        phi = phi + math.pi
-    phi = math.fmod(phi, TWO_PI)
-    if phi < 0:
-        phi += TWO_PI
-    return theta, phi
-
-
 @dataclass(frozen=True)
 class QubitBasisAngles:
-    """Qubit basis coordinates: polar theta in [0, pi/2], azimuth phi in [0, 2*pi)."""
+    """Coordinates of the basis ``qubit_unitary(theta, phi)``; finite angles are kept as given."""
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        theta, phi = fold_qubit_angles(float(self.theta), float(self.phi))
+        theta, phi = float(self.theta), float(self.phi)
+        if not (math.isfinite(theta) and math.isfinite(phi)):
+            raise BadParams(f"basis angles must be finite, got theta={theta}, phi={phi}")
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "phi", phi)
 
@@ -98,8 +78,8 @@ def basis_from_angles(
 ) -> ProductBasis:
     """Qubit product basis from (theta, phi) pairs.
 
-    Angles outside the fundamental ranges are folded onto an equivalent basis.
-    When target ``dims`` are given, every subsystem must be a qubit.
+    Any finite angles are used as given.  When target ``dims`` are given,
+    every subsystem must be a qubit.
     """
     pairs = []
     for a in angles:
@@ -120,12 +100,19 @@ def basis_from_angles(
     return ProductBasis(factors, angles=tuple(pairs))
 
 
+def bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Bloch axis of ``qubit_unitary(theta, phi)``'s first column, shape (..., 3)."""
+    s = np.sin(2 * thetas)
+    return np.stack([-s * np.cos(phis), s * np.sin(phis), np.cos(2 * thetas)], axis=-1)
+
+
 def axis_angles(n: np.ndarray) -> QubitBasisAngles:
     """Angles of the projector pair (I +- n.sigma)/2 of a unit Bloch axis n.
 
     Folds the axis into the hemisphere with non-negative z (equator ties
     broken toward non-positive x, then non-negative y, matching the image of
-    the parameterization itself), giving theta in [0, pi/4].
+    the parameterization itself), giving theta in [0, pi/4] and phi in [0, 2*pi):
+    the one normal form of qubit-basis angles, used for search results.
     """
     # Fold the axis pair {n, -n} so that the parameterization's own image is a
     # fixed point: prefer positive z, on the equator prefer non-positive x,
@@ -136,7 +123,8 @@ def axis_angles(n: np.ndarray) -> QubitBasisAngles:
     theta = 0.5 * math.acos(min(1.0, max(-1.0, n[2])))
     if math.sin(2 * theta) <= 1e-9:  # pole: azimuth undefined
         return QubitBasisAngles(theta, 0.0)
-    phi = math.atan2(n[1], -n[0]) % TWO_PI
+    # fmod: a tiny negative atan2 rounds to 2*pi under %, which is phi = 0.
+    phi = math.fmod(math.atan2(n[1], -n[0]) % TWO_PI, TWO_PI)
     return QubitBasisAngles(theta, phi)
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .channels import bloch_axes
 from .errors import BadParams, NoRootBracketed, whole_number
 from .quantifiers import (
     _dephased_entropies,
@@ -31,7 +32,7 @@ from .quantifiers import (
     _state_entropies,
     closest_classical,
 )
-from .search import OptimizerConfig, _bloch_axes, _outcome_rows, dephased_entropy, pauli_tensor
+from .search import OptimizerConfig, _outcome_rows, dephased_entropy, pauli_tensor
 from .states import DensityMatrix, mdms
 
 SCAN_COLUMNS = ("T", "C", "C_L", "C_M", "K", "M", "D", "J", "L")
@@ -61,7 +62,7 @@ def _dephased_row(state: DensityMatrix, thetas_a: np.ndarray, thetas_b: np.ndarr
     are ``state``'s in the basis U(t, 0)^dagger = U(-t, 0) of each qubit: its
     Pauli tensor contracted with the outcome rows of those Bloch axes.
     """
-    rows = [_outcome_rows(_bloch_axes(-t, 0.0)) for t in (thetas_a, thetas_b)]
+    rows = [_outcome_rows(bloch_axes(-t, 0.0)) for t in (thetas_a, thetas_b)]
     probs = np.einsum("kam,mn,kbn->kab", rows[0], pauli_tensor(state.matrix), rows[1])
     return _dephased_entropies(probs.reshape(len(probs), 4), (2, 2))
 
@@ -196,7 +197,7 @@ def _boundary_curvatures(state: DensityMatrix) -> np.ndarray:
     4 (m^T d2H m - dH . n), read from the exact derivatives of the kernel.
     """
     t = np.array([0.0, math.pi / 4])
-    n, m = (np.repeat(_bloch_axes(-s, 0.0)[:, None], 2, axis=1) for s in (t, t + math.pi / 4))
+    n, m = (np.repeat(bloch_axes(-s, 0.0)[:, None], 2, axis=1) for s in (t, t + math.pi / 4))
     _, grad, hess = dephased_entropy(pauli_tensor(state.matrix), n)
     along = np.einsum("sqi,sqirj,srj->s", m, hess, m)
     return 4 * (along - np.einsum("sqi,sqi->s", grad, n))

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channels import QubitBasisAngles, axis_angles
+from .channels import QubitBasisAngles, axis_angles, bloch_axes
 from .errors import whole_number
 from .states import _clipped_log2
 
@@ -227,12 +227,6 @@ def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):
     return terms[:, 0], terms[:, single].reshape(s, n, 3), hess.reshape(s, n, 3, n, 3)
 
 
-def _bloch_axes(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Bloch axis of ``qubit_unitary(theta, phi)``'s first column, shape (..., 3)."""
-    s = np.sin(2 * thetas)
-    return np.stack([-s * np.cos(phis), s * np.sin(phis), np.cos(2 * thetas)], axis=-1)
-
-
 def _grid_axes(pts: int) -> np.ndarray:
     """One grid axis per distinct basis: the computational one, then theta-major.
 
@@ -242,8 +236,8 @@ def _grid_axes(pts: int) -> np.ndarray:
     """
     thetas, phis = angle_axes(pts)
     stop = pts - 1 if pts % 2 else pts // 2
-    rest = _bloch_axes(*np.meshgrid(thetas[1:stop], phis, indexing="ij")).reshape(-1, 3)
-    return np.concatenate([_bloch_axes(thetas[:1], phis[:1]), rest])
+    rest = bloch_axes(*np.meshgrid(thetas[1:stop], phis, indexing="ij")).reshape(-1, 3)
+    return np.concatenate([bloch_axes(thetas[:1], phis[:1]), rest])
 
 
 def _tie_key(pairs: Sequence[QubitBasisAngles]) -> tuple:

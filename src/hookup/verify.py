@@ -47,7 +47,7 @@ def _row(group, name, expected, actual, tol) -> VerifyRow:
 
 
 def _bound_row(group, name, value, bound, kind) -> VerifyRow:
-    passed = value <= bound if kind == "max" else value >= bound
+    passed = bool(value <= bound if kind == "max" else value >= bound)
     rel = "<=" if kind == "max" else ">="
     return VerifyRow(
         group=group,
@@ -133,75 +133,36 @@ def check_scan_structure(cfg: OptimizerConfig) -> list[VerifyRow]:
     basis, which leaves K unchanged, that is the symmetric rotation of
     eps |Psi+><Psi+| + (1-eps) |11><11|.
     """
-    g = "scan"
     table = scan_mdms(65, 101, cfg)
-    k = table.columns["K"]
-    j = table.columns["J"]
-    m = table.columns["M"]
+    k, j, m = (table.columns[c] for c in "KJM")
     gaps = k - j
     eps = table.epsilons
-    rows = []
-
-    high = eps > 0.77
-    rows.append(
-        _bound_row(g, "max K-J for eps > 0.77", float(gaps[:, high].max()), 1e-6, "max")
-    )
+    bounds = [("max K-J for eps > 0.77", gaps[:, eps > 0.77].max(), 1e-6, "max")]
     for target in (0.3, 0.5):
         je = int(np.argmin(np.abs(eps - target)))
         col = gaps[:, je]
-        rows.append(
-            _bound_row(g, f"K-J reaches above 0 at eps={target}", float(col.max()), 1e-9, "min")
-        )
-        rows.append(
-            _bound_row(
-                g,
+        h, h_q = _dephased_row(mdms(float(eps[je])), table.thetas, -table.thetas)
+        bounds += [
+            (f"K-J reaches above 0 at eps={target}", col.max(), 1e-9, "min"),
+            (
                 f"K-J = 0 at theta=0, >= 0 along theta at eps={target} (worst violation)",
-                max(abs(float(col[0])), -float(col.min())),
+                max(abs(col[0]), -col.min()),
                 1e-9,
                 "max",
-            )
-        )
-        h, h_q = _dephased_row(mdms(float(eps[je])), table.thetas, -table.thetas)
-        counter = h_q - h - j[:, je]
-        rows.append(
-            _bound_row(
-                g,
+            ),
+            (
                 f"K-J reaches below 0 on the counter-rotated member at eps={target}",
-                float(counter.min()),
+                (h_q - h - j[:, je]).min(),
                 -1e-9,
                 "max",
-            )
-        )
-
-    tie = 1e-9
-    rows.append(
-        _bound_row(
-            g,
-            "K maximal at theta=pi/4 (worst row gap)",
-            float((k.max(axis=0) - k[-1, :]).max()),
-            tie,
-            "max",
-        )
-    )
-    rows.append(
-        _bound_row(
-            g,
-            "M maximal at theta=pi/4 (worst row gap)",
-            float((m.max(axis=0) - m[-1, :]).max()),
-            tie,
-            "max",
-        )
-    )
-    rows.append(
-        _bound_row(
-            g,
-            "M minimal at theta=0 (worst row gap)",
-            float((m[0, :] - m.min(axis=0)).max()),
-            tie,
-            "max",
-        )
-    )
-    return rows
+            ),
+        ]
+    bounds += [
+        ("K maximal at theta=pi/4 (worst row gap)", (k.max(axis=0) - k[-1, :]).max(), 1e-9, "max"),
+        ("M maximal at theta=pi/4 (worst row gap)", (m.max(axis=0) - m[-1, :]).max(), 1e-9, "max"),
+        ("M minimal at theta=0 (worst row gap)", (m[0, :] - m.min(axis=0)).max(), 1e-9, "max"),
+    ]
+    return [_bound_row("scan", *row) for row in bounds]
 
 
 def run_all(cfg: OptimizerConfig | None = None) -> list[VerifyRow]:

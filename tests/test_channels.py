@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -7,16 +8,19 @@ from hypothesis import strategies as st
 
 from conftest import first_column_axis, random_product_basis, random_state
 from hookup import (
+    BadParams,
     DensityMatrix,
     DimensionMismatch,
     NotAllQubits,
     NotUnitary,
     ProductBasis,
+    QubitBasisAngles,
     basis_from_angles,
     commutation_check,
     computational_basis,
     dephase,
     dephased_probs,
+    full_report,
     marginal_product,
     preset,
     qubit_unitary,
@@ -49,13 +53,31 @@ class TestBasisFromAngles:
         for f in basis.factors:
             assert np.max(np.abs(f @ f.conj().T - np.eye(2))) <= 1e-12
 
-    def test_angle_folding(self):
+    def test_equivalent_angles_give_same_basis(self):
+        # (theta, phi) and (pi - theta, phi + pi) are equivalent angles: one projector pair.
         folded = basis_from_angles([(math.pi / 2 + 0.3, 1.0)])
         direct = basis_from_angles([(math.pi / 2 - 0.3, 1.0 + math.pi)])
         state = preset("paper-example").marginal(0)
         probs_a = dephased_probs(state, ProductBasis((folded.factors[0],)))
         probs_b = dephased_probs(state, ProductBasis((direct.factors[0],)))
         assert np.allclose(sorted(probs_a), sorted(probs_b))
+
+    def test_caller_angles_kept(self):
+        assert astuple(QubitBasisAngles(2.0, -1.0)) == (2.0, -1.0)
+        state = preset("paper-example")
+        given = full_report(state, basis_from_angles([(2.0, -1.0), (3.5, 7.5)])).to_dict()
+        # The same bases in theta in [0, pi/2], phi in [0, 2*pi).
+        folded = [(math.pi - 2.0, math.pi - 1.0), (3.5 - math.pi, 7.5 - 2 * math.pi)]
+        want = full_report(state, basis_from_angles(folded)).to_dict()
+        assert given["reference_basis"] == [{"theta": 2.0, "phi": -1.0}, {"theta": 3.5, "phi": 7.5}]
+        for name, value in want["quantifiers"].items():
+            assert abs(given["quantifiers"][name] - value) <= 1e-12, name
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, theta):
+        for pair in ((theta, 0.0), (0.0, theta)):
+            with pytest.raises(BadParams):
+                QubitBasisAngles(*pair)
 
     def test_qudit_dims_rejected(self):
         with pytest.raises(NotAllQubits):
@@ -105,6 +127,10 @@ class TestCanonicalAngles:
     def test_theta_capped_at_quarter_pi(self):
         folded = axis_angles(first_column_axis(qubit_unitary(1.2, 0.7)))
         assert 0 <= folded.theta <= math.pi / 4 + 1e-12
+
+    def test_phi_below_two_pi(self):
+        # A y-component a few ulps below 0 gives an atan2 that rounds to 2*pi under %.
+        assert axis_angles(np.array([-0.6, -1e-17, 0.8])).phi == 0.0
 
 
 class TestDephase:

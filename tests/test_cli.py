@@ -235,6 +235,34 @@ class TestVerifyRows:
         table = format_table(rows, elapsed=1.0)
         assert "[PASS]" in table
 
+    def test_scan_rows_keep_names_and_bounds(self):
+        from hookup import OptimizerConfig
+        from hookup.verify import check_scan_structure
+
+        rows = check_scan_structure(OptimizerConfig(grid_points=9, multistarts=4))
+        want = [("max K-J for eps > 0.77", "<= 1e-06")]
+        for eps in ("0.3", "0.5"):
+            want += [
+                (f"K-J reaches above 0 at eps={eps}", ">= 1e-09"),
+                (
+                    f"K-J = 0 at theta=0, >= 0 along theta at eps={eps} (worst violation)",
+                    "<= 1e-09",
+                ),
+                (f"K-J reaches below 0 on the counter-rotated member at eps={eps}", "<= -1e-09"),
+            ]
+        want += [
+            ("K maximal at theta=pi/4 (worst row gap)", "<= 1e-09"),
+            ("M maximal at theta=pi/4 (worst row gap)", "<= 1e-09"),
+            ("M minimal at theta=0 (worst row gap)", "<= 1e-09"),
+        ]
+        assert [(r.group, r.name, r.expected, r.tolerance) for r in rows] == [
+            ("scan", name, expected, "bound") for name, expected in want
+        ]
+        for r in rows:
+            rel, bound = r.expected.split()
+            value = float(r.actual)
+            assert r.passed is (value <= float(bound) if rel == "<=" else value >= float(bound))
+
 
 class TestScan:
     def test_writes_csv(self, tmp_path, capsys):

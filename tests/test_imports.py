@@ -53,3 +53,32 @@ def test_every_import_is_used():
     modules = [p for p in Path(hookup.__file__).parent.glob("*.py") if p.name != "__init__.py"]
     found = {p.name: unused_imports(p) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def test_every_definition_is_used():
+    # A module-level function or class that no module of the package references
+    # and __init__.py does not export is a path kept alive only by tests.
+    package = Path(hookup.__file__).parent
+    trees = {p.name: ast.parse(p.read_text()) for p in package.glob("*.py")}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    exported = {
+        a.asname or a.name
+        for node in ast.walk(trees.pop("__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    dead = {
+        name: sorted(
+            node.name
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in used | exported
+        )
+        for name, tree in trees.items()
+    }
+    assert {name: defs for name, defs in dead.items() if defs} == {}

@@ -17,6 +17,7 @@ from conftest import (
     random_product_basis,
     random_pure_state,
     random_state,
+    random_unitary,
     recorded_searches,
     second_order_certificate,
 )
@@ -37,6 +38,7 @@ from hookup import (
     full_report,
     global_discord,
     irreducible_classical,
+    kron_all,
     local_coherence,
     marginal_product,
     minimize_over_product_bases,
@@ -369,6 +371,23 @@ class TestQubitPermutation:
         assert abs(a.discord - b.discord) <= 1e-9
         assert abs(a.classical_correlations - b.classical_correlations) <= 1e-9
         assert abs(a.excess - b.excess) <= 1e-9
+
+
+class TestLocalUnitaryInvariance:
+    # A product unitary maps product bases onto product bases, so every
+    # minimum over them, and T, is unchanged; the search must find it again.
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_product_unitary_leaves_quantifiers(self, n, rank):
+        rng = np.random.default_rng(100 * n + (rank or 0))
+        state = random_state(rng, (2,) * n, rank)
+        u = kron_all([random_unitary(rng, 2) for _ in range(n)])
+        moved = DensityMatrix(state.dims, u @ state.matrix @ u.conj().T)
+        a, b = full_report(state), full_report(moved)
+        for name in (
+            "total_correlations", "discord", "classical_correlations", "excess", "global_discord"
+        ):
+            assert abs(getattr(a, name) - getattr(b, name)) <= 1e-7, name
 
 
 class TestScaling:
