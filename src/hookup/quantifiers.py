@@ -32,6 +32,7 @@ from .errors import HookupError, NotAllQubits, TooManyQubits
 from .search import (
     OptimizerConfig,
     OptimizerResult,
+    _minimize_stack,
     dephased_entropy,
     joint_dephased_entropies,
     minimize_over_product_bases,
@@ -202,6 +203,26 @@ def _closest_classical(
     """``closest_classical`` given ``_search_inputs`` and ``_state_entropies``."""
     objective = partial(dephased_entropy, pauli)
     result = minimize_over_product_bases(objective, state.n_parts, cfg, batch=grid)
+    return _closest_at(state, result, entropies)
+
+
+def _chi_searches(states, cfg: OptimizerConfig) -> list[OptimizerResult]:
+    """The closest-classical searches of same-size qubit ``states``, refined as one stack.
+
+    Each state's grid seeds its starts and is dropped before the next one is
+    formed.  Each result is the one ``closest_classical`` gives that state.
+    """
+    paulis = np.stack([_search_inputs(state)[0] for state in states])
+    n = states[0].n_parts
+    grids = (lambda options, p=p: joint_dephased_entropies(p, [options] * n) for p in paulis)
+    return _minimize_stack(lambda axes, which: dephased_entropy(paulis[which], axes), n, cfg, grids)
+
+
+def _closest_at(state: DensityMatrix, result: OptimizerResult, entropies) -> ClosestClassical:
+    """``state``'s ``ClosestClassical`` from its search ``result`` and ``_state_entropies``.
+
+    The ledger at the argmin basis gives D, J and L.
+    """
     basis = basis_from_angles(result.angles, dims=state.dims)
     values = _ledger(state, basis, entropies)
     return ClosestClassical(

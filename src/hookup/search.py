@@ -8,9 +8,10 @@ axes.  One real contraction (``_tail``) serves the coarse grid
 (``joint_dephased_entropies``) on the rows of the distinct grid axes, and the
 refinement (``dephased_entropy``), which adds the rows [0, +-e_i/2] of the axis
 derivatives and of their pairs.  Saddle-free Newton steps on the product of
-spheres refine every start at once (``_refine``), escaping saddles.  The lowest
-refined start wins; starts within 1e-9 of it tie, and the tie goes to the
-smallest canonical angle norm (the computational basis wins exact ties).
+spheres refine every start at once (``_refine``), escaping saddles; the starts
+may belong to many states (``_minimize_stack``).  The lowest refined start
+wins; starts within 1e-9 of it tie, and the tie goes to the smallest
+canonical angle norm (the computational basis wins exact ties).
 """
 
 from __future__ import annotations
@@ -145,12 +146,13 @@ def _tail(pauli: np.ndarray, rows: Sequence[np.ndarray]) -> np.ndarray:
     """Contract qubits n-1, ..., 1 of ``pauli`` with their row stacks, last first.
 
     ``rows[q]`` holds (option, outcome) rows of qubit q, shape (*B, K_q, 2, 4)
-    for one batch shape B.  Returns shape (*B, 4, rest): mu_0 by the (o_1,
-    s_1, ..., o_{n-1}, s_{n-1}) pairs, qubit 1 most significant.  Qubit 0's
-    rows times this tail are the weights of every option combination.
+    for one batch shape B; ``pauli`` has shape (4,) * n, or (*B,) + (4,) * n
+    with one tensor per batch entry.  Returns shape (*B, 4, rest): mu_0 by the
+    (o_1, s_1, ..., o_{n-1}, s_{n-1}) pairs, qubit 1 most significant.  Qubit
+    0's rows times this tail are the weights of every option combination.
     """
     lead = rows[0].shape[:-3]
-    t, rest = pauli.reshape(-1, 1), 1
+    t, rest = pauli.reshape(*pauli.shape[: pauli.ndim - len(rows)], -1, 1), 1
     for r in rows[:0:-1]:
         t = r.reshape(*lead, 1, -1, 4) @ t.reshape(*t.shape[:-2], -1, 4, rest)
         rest *= t.shape[-2]
@@ -208,6 +210,9 @@ def dephased_entropy(pauli: np.ndarray, axes: np.ndarray):
     are clipped at 0; a zero weight adds 0 to S and takes log2 p = -1022, a
     finite stand-in for -inf, in dS = -sum log2(p) dp (as sum dp = 0) and in
     d2S = -sum log2(p) d2p - sum dp dp^T / (p ln 2), p floored at ``_P_FLOOR``.
+
+    ``pauli`` is one state's tensor, shape (4,) * n, or one per point, shape
+    (s,) + (4,) * n.
     """
     s, n = axes.shape[:2]
     rows = np.concatenate(
@@ -259,10 +264,14 @@ def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
     renormalised.  A start converges once |g| <= ``_GRAD_TOL`` without such
     curvature or a step lowers the value by at most ``_REL_DECREASE`` relative
     (by 0 when no halving does); else it stops after ``cfg.max_iter`` steps.
+
+    ``objective(axes, rows)`` evaluates at ``axes`` the starts whose indices in
+    ``x0`` are ``rows``, so one stack can hold the starts of many states: each
+    driver of ``mdms`` refines all its members' starts in one call.
     """
     x = np.array(x0, dtype=float)
     n = x.shape[1]
-    f, grad, hess = objective(x)
+    f, grad, hess = objective(x, np.arange(len(x)))
     nfev = np.ones(len(x), dtype=int)
     active = np.arange(len(x))
     for _ in range(cfg.max_iter):
@@ -291,7 +300,7 @@ def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
                 break
             y = x[active[left]] + moves[left]
             y /= np.linalg.norm(y, axis=-1, keepdims=True)
-            fy, gy, hy = objective(y)
+            fy, gy, hy = objective(y, active[left])
             nfev[active[left]] += 1
             drop = fy < start[left]
             k = active[left[drop]]
@@ -301,6 +310,55 @@ def _refine(objective, x0: np.ndarray, cfg: OptimizerConfig):
         scale = np.maximum(1, np.maximum(np.abs(start), np.abs(f[active])))
         active = active[start - f[active] > _REL_DECREASE * scale]
     return x, f, nfev, ~np.isin(np.arange(len(x)), active)
+
+
+def _minimize_stack(
+    objective, n_qubits: int, cfg: OptimizerConfig, batches
+) -> list[OptimizerResult]:
+    """``minimize_over_product_bases`` of many functions, their starts refined as one stack.
+
+    ``batches`` yields one grid evaluator per function; each grid seeds its
+    function's starts and is dropped before the next is formed.
+    ``objective(axes, which)`` evaluates at ``axes`` the functions numbered
+    ``which``, one per point.  The tie-break runs per function, so each
+    function's result is the one its own search would return.
+    """
+    pts = effective_grid_points(cfg.grid_points, n_qubits)
+    options = _grid_axes(pts)
+    ncells = len(options) ** n_qubits
+    n_starts = min(cfg.multistarts, ncells)
+    seeds = []
+    for batch in batches:
+        values = np.asarray(batch(options), dtype=float).ravel()
+        # One stable order of the cells up to the n_starts-th smallest value: cells
+        # within _SEED_TIE of the grid minimum share the key ``low`` and go first by
+        # index, so the computational basis (cell 0) seeds every tie it is in; the
+        # rest go by value, exact ties (whole classes enter) by index.
+        low = values.min() + _SEED_TIE
+        pool = np.flatnonzero(values <= max(low, np.partition(values, n_starts - 1)[n_starts - 1]))
+        seeds.append(pool[np.argsort(np.maximum(values[pool], low), kind="stable")][:n_starts])
+        del values  # drop this grid before the next one is formed
+    cells = np.stack(np.unravel_index(np.ravel(seeds), (len(options),) * n_qubits), axis=-1)
+    which = np.repeat(np.arange(len(seeds)), n_starts)
+    x0 = options[cells]
+    refined, fun, nfev, ok = _refine(lambda axes, rows: objective(axes, which[rows]), x0, cfg)
+    results = []
+    for rows in np.arange(which.size).reshape(-1, n_starts):
+        tied = rows[fun[rows] <= fun[rows].min() + 1e-9]
+        best = min(tied, key=lambda i: _tie_key(tuple(map(axis_angles, refined[i]))))
+        results.append(
+            OptimizerResult(
+                angles=tuple(map(axis_angles, refined[best])),
+                value=float(fun[best]),
+                converged=bool(ok[best]),
+                starts=n_starts,
+                nfev=int(nfev[rows].sum()),
+                grid_points=pts,
+                requested_grid_points=cfg.grid_points,
+                grid_cells=ncells,
+            )
+        )
+    return results
 
 
 def minimize_over_product_bases(
@@ -323,32 +381,5 @@ def minimize_over_product_bases(
     wins, the smallest ``_tie_key`` within 1e-9 of it.
     """
     cfg = cfg or OptimizerConfig()
-    pts = effective_grid_points(cfg.grid_points, n_qubits)
-    options = _grid_axes(pts)
-    values = np.asarray(batch(options), dtype=float).ravel()
-
-    ncells = values.size
-    n_starts = min(cfg.multistarts, ncells)
-    # One stable order of the cells up to the n_starts-th smallest value: cells
-    # within _SEED_TIE of the grid minimum share the key ``low`` and go first by
-    # index, so the computational basis (cell 0) seeds every tie it is in; the
-    # rest go by value, exact ties (whole classes enter) by index.
-    low = values.min() + _SEED_TIE
-    pool = np.flatnonzero(values <= max(low, np.partition(values, n_starts - 1)[n_starts - 1]))
-    seeds = pool[np.argsort(np.maximum(values[pool], low), kind="stable")][:n_starts]
-
-    x0 = options[np.stack(np.unravel_index(seeds, (len(options),) * n_qubits), axis=1)]
-    refined, fun, nfev, ok = _refine(objective, x0, cfg)
-    tied = np.flatnonzero(fun <= fun.min() + 1e-9)
-    best = min(tied, key=lambda i: _tie_key(tuple(map(axis_angles, refined[i]))))
-
-    return OptimizerResult(
-        angles=tuple(map(axis_angles, refined[best])),
-        value=float(fun[best]),
-        converged=bool(ok[best]),
-        starts=n_starts,
-        nfev=int(nfev.sum()),
-        grid_points=pts,
-        requested_grid_points=cfg.grid_points,
-        grid_cells=ncells,
-    )
+    (result,) = _minimize_stack(lambda axes, which: objective(axes), n_qubits, cfg, [batch])
+    return result

@@ -35,6 +35,23 @@ def test_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_import_adds_only_numpy_outside_stdlib():
+    # ``import hookup`` is the set-up every run pays: outside the standard
+    # library it may load numpy and the package alone.  ``site`` loads some
+    # modules of its own before (_distutils_hack, certifi), so only top-level
+    # modules that the import adds count.
+    code = (
+        "top = lambda: {name.partition('.')[0] for name in sys.modules}; before = top(); "
+        "import hookup; print(sorted(top() - before - set(sys.stdlib_module_names)))"
+    )
+    src = str(Path(hookup.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "['hookup', 'numpy']"
+
+
 def unused_imports(path: Path) -> list[str]:
     """Names a source file imports but never references."""
     tree = ast.parse(path.read_text())

@@ -12,11 +12,12 @@ from hookup import (
     qubit_unitary,
     total_correlations,
 )
+from hookup import quantifiers
 from hookup.mdms import (
     ScanTable,
     _boundary_curvatures,
     _dephased_row,
-    _first_root,
+    _first_roots,
     compare_jk,
     find_thresholds,
     scan_mdms,
@@ -175,7 +176,7 @@ def test_boundary_curvatures_match_central_differences(eps):
     # The kernel's exact curvature at t = 0 itself, where the |01> weight of
     # every member is 0, and at pi/4, against a three-point stencil around each.
     state, step = mdms(eps), 1e-4
-    exact = _boundary_curvatures(state)
+    (exact,) = _boundary_curvatures([state])
     for t, value in zip([0.0, np.pi / 4], exact):
         stencil = np.array([t - step, t, t + step])
         h = _dephased_row(state, stencil, stencil)[0]
@@ -185,7 +186,12 @@ def test_boundary_curvatures_match_central_differences(eps):
 EPS_GRID = np.linspace(0.05, 0.99, 20)
 
 
-class TestFirstRoot:
+def one_column(f):
+    """A one-entry ``pairs`` for ``_first_roots`` from a function of one epsilon."""
+    return lambda eps: np.array([[f(float(e))] for e in eps])
+
+
+class TestFirstRoots:
     def test_linear_root_and_its_grid_cell(self):
         calls = []
 
@@ -193,7 +199,7 @@ class TestFirstRoot:
             calls.append(eps)
             return eps - 0.3
 
-        root, bracket = _first_root(f, 1e-8)
+        ((root, bracket),) = _first_roots(one_column(f), 1e-8)
         assert abs(root - 0.3) <= 1e-8
         assert bracket == (EPS_GRID[5], EPS_GRID[6])
         assert EPS_GRID[5] < 0.3 < EPS_GRID[6]
@@ -203,19 +209,79 @@ class TestFirstRoot:
     @pytest.mark.parametrize("value", [1.0, -1.0])
     def test_constant_sign_raises(self, value):
         with pytest.raises(NoRootBracketed):
-            _first_root(lambda eps: value, 1e-6)
+            _first_roots(one_column(lambda eps: value), 1e-6)
 
     def test_exact_zero_at_grid_point_is_returned(self):
         target = float(EPS_GRID[7])
-        root, bracket = _first_root(lambda eps: eps - target, 1e-6)
+        ((root, bracket),) = _first_roots(one_column(lambda eps: eps - target), 1e-6)
         assert root == target
         assert bracket == (EPS_GRID[6], EPS_GRID[7])
 
     def test_zero_at_low_end_is_not_a_flip(self):
         low = float(EPS_GRID[0])
-        root, bracket = _first_root(lambda eps: (eps - low) * (0.5 - eps), 1e-8)
+        ((root, bracket),) = _first_roots(one_column(lambda eps: (eps - low) * (0.5 - eps)), 1e-8)
         assert abs(root - 0.5) <= 1e-8
         assert bracket == (EPS_GRID[9], EPS_GRID[10])
+
+
+def scalar_first_root(f, tol):
+    """Reference: the first sign change of one function of one epsilon, bisected alone."""
+    grid = np.linspace(0.05, 0.99, 20)
+    lo, flo = float(grid[0]), f(float(grid[0]))
+    for hi in map(float, grid[1:]):
+        fhi = f(hi)
+        if np.sign(fhi) != np.sign(flo) and flo != 0.0:
+            break
+        lo, flo = hi, fhi
+    else:
+        raise NoRootBracketed("no sign change on (0, 1)")
+    bracket = (lo, hi)
+    if fhi == 0.0:
+        return hi, bracket
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid, bracket
+        if np.sign(fmid) == np.sign(flo):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), bracket
+
+
+MIDPOINT = 0.5 * (float(EPS_GRID[5]) + float(EPS_GRID[6]))
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # Both thresholds' shapes: a rising root, then a later one.
+        [lambda e: e - 0.3, lambda e: e - 0.75],
+        # A zero on a grid point, which is the high end of the cell below it.
+        [lambda e: e - float(EPS_GRID[7]), lambda e: 0.9 - e],
+        # A zero at the first midpoint ends one bisection while the other goes on.
+        [lambda e: e - MIDPOINT, lambda e: (e - 0.81) ** 3],
+        # Both roots in one cell: every round shares its midpoints.
+        [lambda e: e - 0.31, lambda e: e - 0.32],
+        [lambda e: e - 0.31, lambda e: e - 0.31],
+        # A zero at a cell's low end is no flip, in either entry.
+        [lambda e: (e - float(EPS_GRID[0])) * (0.5 - e), lambda e: (e - 0.05) * (e - 0.6)],
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-6, 1e-9])
+def test_lockstep_roots_match_the_scalar_bisection(entries, tol):
+    sizes = []
+
+    def pairs(eps):
+        sizes.append(len(eps))
+        return np.array([[f(float(e)) for f in entries] for e in eps])
+
+    expected = [scalar_first_root(f, tol) for f in entries]
+    assert _first_roots(pairs, tol) == expected
+    # The grid, then at most one member per open root in each round.
+    assert sizes[0] == len(EPS_GRID)
+    assert all(1 <= size <= 2 for size in sizes[1:])
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.5])
@@ -262,6 +328,34 @@ class TestCompareJk:
     def test_needs_an_epsilon(self):
         with pytest.raises(BadParams, match="epsilon"):
             compare_jk([])
+
+    def test_rejects_every_epsilon_before_any_search(self, monkeypatch):
+        # 1.2 is out of range, so the valid 0.5 before it must not be searched.
+        grids = []
+        contract = quantifiers.joint_dephased_entropies
+
+        def counting(*args):
+            grids.append(args)
+            return contract(*args)
+
+        monkeypatch.setattr(quantifiers, "joint_dephased_entropies", counting)
+        with pytest.raises(BadParams, match="1.2"):
+            compare_jk([0.5, 1.2], cfg=FAST)
+        assert grids == []
+        compare_jk([0.5], cfg=FAST)
+        assert len(grids) == 1
+
+
+def test_stacked_drivers_match_one_search_per_member():
+    # The drivers refine every member's starts in one stack; D, J and L must
+    # be those of one closest_classical search per epsilon, to the bit.
+    table = scan_mdms(9, 5, FAST)
+    for je, eps in enumerate(table.epsilons):
+        cc = closest_classical(mdms(float(eps)), FAST)
+        for name, value in (("D", cc.discord), ("J", cc.classical_correlations), ("L", cc.excess)):
+            assert np.all(table.columns[name][:, je] == value), (name, eps)
+    for row in compare_jk([0.3, 0.7], cfg=FAST):
+        assert row["J"] == closest_classical(mdms(row["epsilon"]), FAST).classical_correlations
 
 
 class TestParams:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     PAULIS,
     bloch_axes,
+    random_density,
     first_column_axis,
     oracle_min_dephased_entropy,
     random_angle_pairs,
@@ -49,6 +50,9 @@ from hookup import (
     von_neumann_entropy,
 )
 from hookup.channels import axis_angles
+from hookup.quantifiers import _chi_searches
+from hookup.search import dephased_entropy, pauli_tensor
+from hookup.states import mdms
 
 S_CHI = 3 - 0.75 * math.log2(3)  # entropy of the x-dephased worked example, by hand
 FAST = OptimizerConfig(grid_points=9, multistarts=4)
@@ -983,3 +987,38 @@ class TestMinimizeOverProductBases:
             cc = closest_classical(state)
             oracle = oracle_min_dephased_entropy(state.matrix, points=32).grid
             assert von_neumann_entropy(cc.chi) <= oracle + 1e-6
+
+
+class TestSearchStack:
+    """The drivers' searches, refined as one stack, change no bit of any search."""
+
+    @pytest.mark.parametrize(
+        "states, cfg",
+        [
+            ([mdms(float(eps)) for eps in np.linspace(0.05, 0.99, 20)], OptimizerConfig()),
+            (
+                [
+                    random_state(np.random.default_rng(60 + k), (2, 2), rank=rank)
+                    for k, rank in enumerate((1, 1, 2, 2, 4, 4))
+                ],
+                FAST,
+            ),
+            ([random_state(np.random.default_rng(70 + k), (2, 2, 2)) for k in range(3)], FAST),
+        ],
+        ids=["threshold-grid", "random-2q", "random-3q"],
+    )
+    def test_stack_matches_one_search_per_state(self, states, cfg):
+        # Angles, value, nfev, converged and the grid record, compared with ==.
+        one_each = [closest_classical(state, cfg).optimizer for state in states]
+        assert _chi_searches(states, cfg) == one_each
+
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4])
+    def test_dephased_entropy_on_a_pauli_stack_matches_row_by_row(self, n_qubits):
+        rng = np.random.default_rng(80 + n_qubits)
+        paulis = np.stack([pauli_tensor(random_density(rng, 2**n_qubits)) for _ in range(5)])
+        axes = rng.normal(size=(5, n_qubits, 3))
+        axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
+        stacked = dephased_entropy(paulis, axes)
+        for k in range(5):
+            for whole, row in zip(stacked, dephased_entropy(paulis[k], axes[k : k + 1])):
+                assert np.array_equal(whole[k : k + 1], row), k
